@@ -442,8 +442,9 @@ func BenchmarkTraceReplay(b *testing.B) {
 
 // BenchmarkChipRunVerify is BenchmarkChipRun with the invariant oracles
 // armed (Spec.Verify, default cadence): the ratio between the two is the
-// price of paranoia, quoted in DESIGN.md. Only the plain variant is pinned
-// by the CI bench gate.
+// price of paranoia, quoted in DESIGN.md. The CI bench gate pins its
+// sim_cycles/sec and allocs/op like every other benchmark in the baseline,
+// so oracle cost cannot creep back unnoticed.
 func BenchmarkChipRunVerify(b *testing.B) {
 	b.ReportAllocs()
 	c := config.Chip16()

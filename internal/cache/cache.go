@@ -221,19 +221,28 @@ func (c *Cache) Fill(l *Line, a Addr, state uint8) {
 // AddrOf reconstructs the block address stored in line l of the set that
 // contains address hint (same index).
 func (c *Cache) AddrOf(l *Line, hint Addr) Addr {
-	idx := uint64(c.index(hint))
+	return c.addrAt(l.Tag, c.index(hint))
+}
+
+// addrAt is the block address with tag t in set idx.
+func (c *Cache) addrAt(t uint64, idx int) Addr {
 	shift := uint(bits.TrailingZeros(uint(c.cfg.Sets())))
-	local := (l.Tag << shift) | idx
+	local := (t << shift) | uint64(idx)
 	return (local*c.div + c.rem) << c.setShift
 }
 
-// Lines returns a copy of the lines in the set containing hint, for
-// invariant checkers and state dumps.
-func (c *Cache) Lines(hint Addr) []Line {
-	s := &c.sets[c.index(hint)]
-	out := make([]Line, len(s.lines))
-	copy(out, s.lines)
-	return out
+// Walk calls fn with the block address of every valid line, set by set
+// and way by way, for invariant checkers. fn may modify the line but must
+// not retain the pointer; the walk itself does not allocate.
+func (c *Cache) Walk(fn func(a Addr, l *Line)) {
+	for idx := range c.sets {
+		lines := c.sets[idx].lines
+		for w := range lines {
+			if l := &lines[w]; l.Valid {
+				fn(c.addrAt(l.Tag, idx), l)
+			}
+		}
+	}
 }
 
 // Invalidate clears the line holding a, if present.

@@ -170,6 +170,49 @@ func TestAddrOfRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWalkVisitsValidLines: Walk reports exactly the filled lines at their
+// own addresses, on a private cache and on one bank of an interleaved L2,
+// and never allocates.
+func TestWalkVisitsValidLines(t *testing.T) {
+	bank := L2BankConfig()
+	bank.Interleave, bank.InterleaveIndex = 4, 3
+	for _, cfg := range []Config{L1Config(), bank} {
+		c := New(cfg)
+		want := map[Addr]bool{}
+		for i := 0; i < 300; i++ {
+			a := (Addr(i)*7919*4 + 3) * 64 // bank residue 3
+			if v := c.Victim(a); v != nil {
+				if v.Valid {
+					delete(want, c.AddrOf(v, a))
+				}
+				c.Fill(v, a, 1)
+				want[a] = true
+			}
+		}
+		c.Invalidate(3 * 64)
+		delete(want, 3*64)
+		got := map[Addr]bool{}
+		c.Walk(func(a Addr, l *Line) {
+			if !l.Valid || got[a] {
+				t.Fatalf("walk visited %#x twice or invalid", a)
+			}
+			got[a] = true
+		})
+		if len(got) != len(want) {
+			t.Fatalf("walk visited %d lines, want %d", len(got), len(want))
+		}
+		for a := range want {
+			if !got[a] {
+				t.Fatalf("walk missed %#x", a)
+			}
+		}
+		n := 0
+		if allocs := testing.AllocsPerRun(5, func() { c.Walk(func(Addr, *Line) { n++ }) }); allocs != 0 {
+			t.Fatalf("walk allocated %v times per run", allocs)
+		}
+	}
+}
+
 func TestDirectoryFieldsResetOnFill(t *testing.T) {
 	c := New(small())
 	addrs := conflictAddrs(c, 5)

@@ -12,53 +12,69 @@ import (
 // bank), ownership (a directory owner actually holds the line exclusively),
 // sharer soundness (an L1 shared copy has its directory record) and
 // single-writer (at most one exclusive copy, never alongside others).
-// It may be called at any quiescent point.
+// Once the single-writer oracle is armed, its per-line counts must also
+// equal this scan's. It may be called at any quiescent point.
 func (s *System) AuditCoherence() error {
-	type holder struct {
-		tile  int
-		state uint8
-	}
-	lines := map[cache.Addr][]holder{}
+	type copies struct{ all, exclusive int32 }
+	held := map[cache.Addr]copies{}
+	var err error
 	for tile, l1 := range s.L1s {
-		c := l1.Cache()
-		cfg := c.Config()
-		for set := 0; set < cfg.Sets(); set++ {
-			hint := cache.Addr(set * cfg.LineBytes)
-			for _, line := range c.Lines(hint) {
-				if !line.Valid {
-					continue
-				}
-				a := c.AddrOf(&line, hint)
-				lines[a] = append(lines[a], holder{tile: tile, state: line.State})
+		l1.c.Walk(func(a cache.Addr, line *cache.Line) {
+			if err == nil {
+				err = s.auditL1Copy(tile, a, line.State)
+			}
+			c := held[a]
+			c.all++
+			if isExclusive(line.State) {
+				c.exclusive++
+			}
+			held[a] = c
+		})
+		if err != nil {
+			return err
+		}
+	}
+	tracked := s.trackedWriters()
+	exclusiveLines := 0
+	for a, c := range held {
+		if c.exclusive > 1 {
+			return fmt.Errorf("coherence: %#x has %d exclusive holders", a, c.exclusive)
+		}
+		if tracked != nil && tracked[a] != c.exclusive {
+			return fmt.Errorf("coherence: single-writer tracker counts %d exclusive holders of %#x, caches hold %d",
+				tracked[a], a, c.exclusive)
+		}
+		if c.exclusive == 1 {
+			exclusiveLines++
+			if c.all > 1 {
+				return fmt.Errorf("coherence: %#x: exclusive copy coexists with %d other copies", a, c.all)
 			}
 		}
 	}
-	for a, hs := range lines {
-		home := s.HomeBank(a)
-		l2line, ok := s.L2s[home].Cache().Peek(a)
-		if !ok {
-			return fmt.Errorf("coherence: inclusion violated: %#x cached in L1 but absent from bank %d", a, home)
+	if tracked != nil && len(tracked) != exclusiveLines {
+		return fmt.Errorf("coherence: single-writer tracker counts %d exclusively held lines, caches hold %d",
+			len(tracked), exclusiveLines)
+	}
+	return nil
+}
+
+// auditL1Copy checks one L1 copy against its home bank: the bank holds the
+// line, and its directory names the tile as owner of an E/M copy, or as
+// owner or sharer of an S copy.
+func (s *System) auditL1Copy(tile int, a cache.Addr, state uint8) error {
+	home := s.HomeBank(a)
+	l2line, ok := s.L2s[home].c.Peek(a)
+	if !ok {
+		return fmt.Errorf("coherence: inclusion violated: %#x cached in L1 but absent from bank %d", a, home)
+	}
+	switch state {
+	case l1M, l1E:
+		if int(l2line.Owner) != tile {
+			return fmt.Errorf("coherence: %#x: tile %d holds E/M but directory owner is %d", a, tile, l2line.Owner)
 		}
-		exclusive := 0
-		for _, h := range hs {
-			switch h.state {
-			case l1M, l1E:
-				exclusive++
-				if int(l2line.Owner) != h.tile {
-					return fmt.Errorf("coherence: %#x: tile %d holds E/M but directory owner is %d",
-						a, h.tile, l2line.Owner)
-				}
-			case l1S:
-				if l2line.Sharers&(1<<uint(h.tile)) == 0 && int(l2line.Owner) != h.tile {
-					return fmt.Errorf("coherence: %#x: tile %d holds S without a directory record", a, h.tile)
-				}
-			}
-		}
-		if exclusive > 1 {
-			return fmt.Errorf("coherence: %#x has %d exclusive holders", a, exclusive)
-		}
-		if exclusive == 1 && len(hs) > 1 {
-			return fmt.Errorf("coherence: %#x: exclusive copy coexists with %d other copies", a, len(hs))
+	case l1S:
+		if l2line.Sharers&(1<<uint(tile)) == 0 && int(l2line.Owner) != tile {
+			return fmt.Errorf("coherence: %#x: tile %d holds S without a directory record", a, tile)
 		}
 	}
 	return nil

@@ -36,6 +36,10 @@ type L1Ctrl struct {
 	// onDone resumes the core when the outstanding miss completes.
 	onDone func(now sim.Cycle)
 
+	// exclLog is this tile's log in the single-writer tracker, nil until
+	// the oracle is armed (see noteState).
+	exclLog *[]exclDelta
+
 	wake sim.Waker
 }
 
@@ -168,6 +172,7 @@ func (l *L1Ctrl) completeMiss(addr cache.Addr, pl Payload, now sim.Cycle) {
 // fill installs a line, writing back any dirty victim through the wb buffer.
 func (l *L1Ctrl) fill(addr cache.Addr, state uint8, now sim.Cycle) {
 	if line, ok := l.c.Peek(addr); ok {
+		l.noteState(addr, line.State, state)
 		line.State = state // upgrade in place
 		return
 	}
@@ -178,15 +183,36 @@ func (l *L1Ctrl) fill(addr cache.Addr, state uint8, now sim.Cycle) {
 	// Only modified lines carry data back (Table 3's L1 replacement);
 	// clean lines are dropped silently — a later forward that finds
 	// nothing is answered with Fwd_Miss and served by the bank.
-	if v.Valid && v.State == l1M {
+	if v.Valid && isExclusive(v.State) {
 		vaddr := l.c.AddrOf(v, addr)
-		if _, dup := l.wb[vaddr]; dup {
-			panic(fmt.Sprintf("coherence: L1 %d double write-back of %#x", l.id, vaddr))
+		l.noteState(vaddr, v.State, 0)
+		if v.State == l1M {
+			if _, dup := l.wb[vaddr]; dup {
+				panic(fmt.Sprintf("coherence: L1 %d double write-back of %#x", l.id, vaddr))
+			}
+			l.wb[vaddr] = v.State
+			l.sys.send(MsgWBData, l.id, l.sys.HomeBank(vaddr), vaddr, Payload{}, now)
 		}
-		l.wb[vaddr] = v.State
-		l.sys.send(MsgWBData, l.id, l.sys.HomeBank(vaddr), vaddr, Payload{}, now)
 	}
+	l.noteState(addr, 0, state)
 	l.c.Fill(v, addr, state)
+}
+
+// noteState logs a state write on addr, from one state to another (0 for
+// an absent line), to the single-writer tracker when it gains or loses
+// exclusivity. Every L1 state write that can do either passes through
+// here: a write that bypasses it desynchronises the tracker, which
+// AuditCoherence then reports. Unarmed, it costs one nil check.
+func (l *L1Ctrl) noteState(addr cache.Addr, from, to uint8) {
+	if l.exclLog == nil {
+		return
+	}
+	switch gain, lose := isExclusive(to), isExclusive(from); {
+	case gain && !lose:
+		*l.exclLog = append(*l.exclLog, exclDelta{addr: addr, d: 1})
+	case lose && !gain:
+		*l.exclLog = append(*l.exclLog, exclDelta{addr: addr, d: -1})
+	}
 }
 
 // handleFwd serves a forward: this L1 owns the line (possibly in its
@@ -204,8 +230,10 @@ func (l *L1Ctrl) handleFwd(addr cache.Addr, pl Payload, now sim.Cycle) {
 		}
 		reply.Dirty = line.State == l1M
 		if pl.Write {
+			l.noteState(addr, line.State, 0)
 			l.c.Invalidate(addr)
 		} else {
+			l.noteState(addr, line.State, l1S)
 			line.State = l1S
 			reply.OwnerKept = true
 		}
@@ -227,6 +255,7 @@ func (l *L1Ctrl) handleInv(addr cache.Addr, now sim.Cycle) {
 	home := l.sys.HomeBank(addr)
 	if line, ok := l.c.Peek(addr); ok {
 		dirty := line.State == l1M
+		l.noteState(addr, line.State, 0)
 		l.c.Invalidate(addr)
 		if dirty {
 			l.sys.send(MsgInvAckData, l.id, home, addr, Payload{Dirty: true}, now)

@@ -129,6 +129,10 @@ type System struct {
 	mcNodes   []mesh.NodeID
 	mcByTile  map[mesh.NodeID]*MemCtrl
 	lineBytes uint64
+
+	// sw is the single-writer oracle's tracker, nil until the first
+	// CheckSingleWriter arms it.
+	sw *writerTracker
 }
 
 // NewSystem builds the chip: network (with the mechanism's router variant),
@@ -419,20 +423,25 @@ func (s *System) Prefill(a cache.Addr, tile mesh.NodeID, exclusive bool) {
 			// Evicting a prefilled line of another core: drop its L1
 			// copies to preserve inclusion (warm-up only; no traffic).
 			va := l2.AddrOf(v, a)
-			for i := range s.L1s {
-				s.L1s[i].c.Invalidate(va)
+			for _, l1 := range s.L1s {
+				if old, ok := l1.c.Peek(va); ok {
+					l1.noteState(va, old.State, 0)
+					l1.c.Invalidate(va)
+				}
 			}
 		}
 		l2.Fill(v, a, l2Clean)
 		line = v
 	}
 	if tile >= 0 {
-		l1 := s.L1s[tile].c
+		ctrl := s.L1s[tile]
+		l1 := ctrl.c
 		if _, ok := l1.Peek(a); !ok {
 			v := l1.Victim(a)
 			if v.Valid {
 				// Drop the old copy's directory record.
 				va := l1.AddrOf(v, a)
+				ctrl.noteState(va, v.State, 0)
 				if old, ok2 := s.L2s[s.HomeBank(va)].c.Peek(va); ok2 {
 					old.Sharers &^= 1 << uint(tile)
 					if old.Owner == int16(tile) {
@@ -444,6 +453,7 @@ func (s *System) Prefill(a cache.Addr, tile mesh.NodeID, exclusive bool) {
 			if exclusive {
 				st = l1E
 			}
+			ctrl.noteState(a, 0, st)
 			l1.Fill(v, a, st)
 		}
 		if exclusive {
