@@ -9,27 +9,12 @@
 // that never produced a result to the journal; the next rcserved started
 // on the same -journal path replays them to completion.
 //
-// Several rcserved processes form a cluster: one hosts the discovery
-// registry (-registry), every node joins it (-join), and clients pointed
-// at the registry consistent-hash each spec fingerprint to its owning
-// node — so the fleet's result caches partition instead of duplicating,
-// and a node that dies mid-sweep is expired by TTL and its jobs
-// re-dispatched to the survivors.
-//
 // Usage:
 //
 //	rcserved                          # listen on :8134, GOMAXPROCS workers
 //	rcserved -addr :9000 -workers 4   # explicit socket and pool size
 //	rcserved -journal rcserved.journal
 //	rcserved -cache 1024 -queue 512   # admission-control sizing
-//
-// A three-node local cluster (see README "Running a cluster"):
-//
-//	rcserved -addr :8130 -registry -workers 1      # discovery
-//	rcserved -addr :8131 -join http://127.0.0.1:8130 -journal n1.journal
-//	rcserved -addr :8132 -join http://127.0.0.1:8130 -journal n2.journal
-//	rcserved -addr :8133 -join http://127.0.0.1:8130 -journal n3.journal
-//	rcsweep -exp fig6 -chip 16 -remote http://127.0.0.1:8130
 //
 // Submit a run (see README "Running as a service" for a full example):
 //
@@ -48,31 +33,14 @@ import (
 	"os"
 	"os/signal"
 	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
-	"reactivenoc/internal/cluster"
 	"reactivenoc/internal/exp"
 	"reactivenoc/internal/serve"
 )
 
 func main() { os.Exit(run()) }
-
-// advertiseFor derives the URL peers reach this process at when -advertise
-// is not given: loopback plus the listen port, which is exactly right for
-// the local-cluster and CI cases, and wrong (so: set -advertise) for
-// multi-host fleets.
-func advertiseFor(addr string) string {
-	host, port, ok := strings.Cut(addr, ":")
-	if !ok {
-		return "http://" + addr
-	}
-	if host == "" || host == "0.0.0.0" || host == "::" {
-		host = "127.0.0.1"
-	}
-	return "http://" + host + ":" + port
-}
 
 func run() int {
 	addr := flag.String("addr", ":8134", "listen address")
@@ -84,18 +52,13 @@ func run() int {
 	retry := flag.Bool("retry", true, "retry failed runs once under the alternate seed")
 	runTimeout := flag.Duration("run-timeout", 0, "per-run wall-clock cap (0 = none)")
 	grace := flag.Duration("grace", 30*time.Second, "shutdown grace for in-flight runs before cancellation")
-	registry := flag.Bool("registry", false, "host the cluster discovery registry on this server")
-	registryTTL := flag.Duration("registry-ttl", cluster.DefaultTTL, "registry heartbeat expiry window")
-	join := flag.String("join", "", "cluster registry URL to register this node with")
-	nodeID := flag.String("node-id", "", "stable cluster identity (default: the advertise address)")
-	advertise := flag.String("advertise", "", "base URL peers and clients reach this node at (default: loopback + listen port)")
 	simShards := flag.Int("sim-shards", -1,
 		"parallel engine row-band shards per simulation (bit-identical; -shards above is the cache, not this): 0 = GOMAXPROCS, 1 = sequential, -1 = defer to RC_SHARDS")
 	flag.Parse()
 
 	// Simulation specs are built per job; the engine's shard count rides
 	// the lazily-read RC_SHARDS hook. Results and fingerprints are
-	// identical at any value, so sharded and sequential nodes still dedupe
+	// identical at any value, so sharded and sequential runs still dedupe
 	// to the same cache entry.
 	if *simShards >= 0 {
 		os.Setenv("RC_SHARDS", strconv.Itoa(*simShards))
@@ -115,56 +78,13 @@ func run() int {
 	}
 	srv.Start()
 
-	handler := srv.Handler()
-	var reg *cluster.Registry
-	if *registry {
-		reg = cluster.NewRegistry(cluster.RegistryConfig{TTL: *registryTTL, Logf: logger.Printf})
-		reg.Start()
-		// The discovery API and a combined /metrics (serve/ + cluster/
-		// scopes) mount in front of the serving mux.
-		outer := http.NewServeMux()
-		reg.Routes(outer)
-		outer.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-			cluster.WriteMetrics(w, srv.Metrics(), reg.Metrics())
-		})
-		outer.Handle("/", handler)
-		handler = outer
-	}
-
-	httpSrv := &http.Server{Addr: *addr, Handler: handler}
+	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 	errCh := make(chan error, 1)
 	go func() {
-		logger.Printf("listening on %s (workers=%d, queue=%d, cache=%d×%d shards, journal=%q, registry=%v)",
-			*addr, exp.WorkersOr(*workers), *queue, *cacheN, *shards, *journal, *registry)
+		logger.Printf("listening on %s (workers=%d, queue=%d, cache=%d×%d shards, journal=%q)",
+			*addr, exp.WorkersOr(*workers), *queue, *cacheN, *shards, *journal)
 		errCh <- httpSrv.ListenAndServe()
 	}()
-
-	var agent *cluster.Agent
-	if *join != "" {
-		adv := *advertise
-		if adv == "" {
-			adv = advertiseFor(*addr)
-		}
-		id := *nodeID
-		if id == "" {
-			id = strings.TrimPrefix(strings.TrimPrefix(adv, "http://"), "https://")
-		}
-		agent = cluster.NewAgent(cluster.AgentConfig{
-			Registry: *join,
-			Self:     cluster.Node{ID: id, URL: adv},
-			Logf:     logger.Printf,
-		})
-		// A failed initial registration is survivable: every heartbeat is
-		// an upsert, so the node joins as soon as the registry answers.
-		regCtx, regCancel := context.WithTimeout(context.Background(), 5*time.Second)
-		if err := agent.Register(regCtx); err != nil {
-			logger.Printf("initial registration with %s failed (will keep trying): %v", *join, err)
-		} else {
-			logger.Printf("joined cluster at %s as %s (%s)", *join, id, adv)
-		}
-		regCancel()
-		agent.Start()
-	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
@@ -175,19 +95,6 @@ func run() int {
 		return 1
 	case got := <-sig:
 		logger.Printf("%v: draining (grace %v)", got, *grace)
-	}
-
-	// Leave the cluster first so clients stop routing new jobs here while
-	// the drain runs — the explicit teardown, not the TTL one.
-	if agent != nil {
-		lctx, lcancel := context.WithTimeout(context.Background(), 3*time.Second)
-		if err := agent.Leave(lctx); err != nil {
-			logger.Printf("cluster leave: %v", err)
-		}
-		lcancel()
-	}
-	if reg != nil {
-		reg.Stop()
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *grace)

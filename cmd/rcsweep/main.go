@@ -26,13 +26,6 @@
 // the same structured run errors the local path produces, and the server
 // owns retry — so the client-side retry is disabled to avoid running every
 // failing spec four times.
-//
-// When the -remote endpoint hosts the cluster discovery registry
-// (rcserved -registry), rcsweep fans out transparently: each cell is
-// routed by spec fingerprint to its consistent-hash owner, per-node
-// backpressure is absorbed with jittered exponential backoff, and a node
-// that dies mid-sweep has its cells re-dispatched to the surviving ring
-// successor — at-least-once, deduplicated by fingerprint on the nodes.
 package main
 
 import (
@@ -45,10 +38,10 @@ import (
 	"strings"
 	"time"
 
-	"reactivenoc/internal/cluster"
 	"reactivenoc/internal/config"
 	"reactivenoc/internal/exp"
 	"reactivenoc/internal/prof"
+	"reactivenoc/internal/serve"
 	"reactivenoc/internal/tracefeed"
 )
 
@@ -156,14 +149,8 @@ func run() int {
 	if *remote != "" {
 		// The server executes (and retries) each cell; rcsweep's workers
 		// become concurrent HTTP clients of it. -timeout still rides along
-		// on each submitted spec. A -remote endpoint that speaks the
-		// discovery protocol is a cluster: cells fan out by fingerprint to
-		// the owning node, with re-dispatch to the ring successor when a
-		// node dies mid-sweep.
-		run, kind := cluster.RunFunc(context.Background(), *remote,
-			func(format string, args ...any) { fmt.Fprintf(os.Stderr, "rcsweep: "+format+"\n", args...) })
-		fmt.Fprintf(os.Stderr, "rcsweep: -remote %s: %s\n", *remote, kind)
-		pol.Run = run
+		// on each submitted spec.
+		pol.Run = serve.NewClient(*remote).Run
 		pol.Retry = false
 	}
 	ctx := context.Background()

@@ -95,7 +95,7 @@ type Spec struct {
 	// inside each kernel phase, exchanging boundary link state only at the
 	// per-cycle barrier. Results are bit-identical for every value, so it
 	// is an engine switch like DenseKernel — excluded from Fingerprint
-	// (json:"-") so result caches and cluster routing never split on it.
+	// (json:"-") so the service's result cache never splits on it.
 	// 0 consults RC_SHARDS (itself "0" → GOMAXPROCS); 1 (or an
 	// unparsable/unset environment) runs today's sequential engine. Runs
 	// that need cross-shard mutation mid-phase fall back to 1 shard: the
@@ -183,12 +183,14 @@ type Results struct {
 	Faults []fault.Event
 }
 
-// IPC returns retired operations per core per cycle.
+// IPC returns measured operations per core per measured-phase cycle.
+// CoreStats.Retired includes the warm-up, so the warm-up's retirements
+// come off before dividing by the measured makespan.
 func (r *Results) IPC() float64 {
 	if r.Cycles == 0 {
 		return 0
 	}
-	var retired int64
+	retired := -int64(len(r.Cores)) * r.Spec.WarmupOps
 	for _, c := range r.Cores {
 		retired += c.Retired
 	}

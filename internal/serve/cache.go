@@ -3,7 +3,6 @@ package serve
 import (
 	"container/list"
 	"hash/fnv"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -123,21 +122,6 @@ func (c *resultCache) complete(fp string, res *chip.Results) {
 // release frees the in-flight slot without storing anything (canceled or
 // journaled jobs).
 func (c *resultCache) release(fp string) { c.complete(fp, nil) }
-
-// fingerprints lists every cached fingerprint across shards, sorted.
-func (c *resultCache) fingerprints() []string {
-	var fps []string
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for fp := range s.byF {
-			fps = append(fps, fp)
-		}
-		s.mu.Unlock()
-	}
-	sort.Strings(fps)
-	return fps
-}
 
 // size returns the cached-entry count across shards.
 func (c *resultCache) size() int64 {

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -48,19 +47,9 @@ func (e *retryAfterError) Error() string {
 	return fmt.Sprintf("serve: server busy (HTTP %d), retry after %v", e.status, e.after)
 }
 
-// IsBackpressure reports whether err is a 429/503 backpressure response
-// and, if so, the server's Retry-After hint.
-func IsBackpressure(err error) (time.Duration, bool) {
-	var ra *retryAfterError
-	if errors.As(err, &ra) {
-		return ra.after, true
-	}
-	return 0, false
-}
-
-// StatusError is a non-backpressure HTTP failure from the server. Callers
-// (the cluster client) use the code to tell a rejected request (4xx — the
-// job's fault, don't re-dispatch) from a broken node (everything else).
+// StatusError is a non-backpressure HTTP failure from the server. The code
+// tells a rejected request (4xx: the submission's fault, resubmitting it
+// cannot help) from a server-side failure (everything else).
 type StatusError struct {
 	Code int
 	Msg  string
@@ -156,7 +145,7 @@ const backpressureMaxWait = 15 * time.Second
 
 // backpressureWait derives the attempt'th backpressure sleep from the
 // server's Retry-After hint: bounded exponential growth with full jitter
-// in [w/2, 3w/2), so N sweep workers rejected by the same recovering node
+// in [w/2, 3w/2), so N sweep workers rejected by the same recovering server
 // spread their retries out instead of stampeding it in lockstep.
 func backpressureWait(hint time.Duration, attempt int) time.Duration {
 	w := hint
@@ -237,11 +226,11 @@ func (c *Client) Run(ctx context.Context, spec chip.Spec) (*chip.Results, error)
 // Follow streams a job's events, starting at cursor after (the Seq of the
 // first event wanted), invoking fn for each. It returns the next cursor —
 // one past the last delivered Seq. A nil error means the stream reached a
-// terminal event; any other outcome (the node died mid-stream, fn bailed)
+// terminal event; any other outcome (the server died mid-stream, fn bailed)
 // returns the cursor to resume from. Because a journal-replayed job
 // re-runs deterministically under its original id, resuming with that
-// cursor on the replacement node yields exactly the events the broken
-// stream never delivered — no window is ever seen twice.
+// cursor on the server restarted from the journal yields exactly the
+// events the broken stream never delivered — no window is seen twice.
 func (c *Client) Follow(ctx context.Context, id string, after int, fn func(Event) error) (int, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		fmt.Sprintf("%s/v1/jobs/%s/events?after=%d", c.base, id, after), nil)
@@ -287,31 +276,6 @@ func (c *Client) Follow(ctx context.Context, id string, after int, fn func(Event
 		return next, err
 	}
 	return next, io.ErrUnexpectedEOF
-}
-
-// CachedFingerprints scrapes /v1/cache: the node's cached result
-// fingerprints, sorted.
-func (c *Client) CachedFingerprints(ctx context.Context) ([]string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/cache", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("serve: GET /v1/cache: %s", resp.Status)
-	}
-	var fps []string
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		if fp := strings.TrimSpace(sc.Text()); fp != "" {
-			fps = append(fps, fp)
-		}
-	}
-	return fps, sc.Err()
 }
 
 // Metrics scrapes /metrics into a name→value map.

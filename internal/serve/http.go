@@ -19,7 +19,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
-	mux.HandleFunc("GET /v1/cache", s.handleCache)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
@@ -126,16 +125,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		case <-r.Context().Done():
 			return
 		}
-	}
-}
-
-// handleCache lists the cached fingerprints, one per line in sorted order.
-// Plain text on purpose: the cluster chaos job asserts single-copy cache
-// semantics with `curl node*/v1/cache | sort | uniq -d` and nothing else.
-func (s *Server) handleCache(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	for _, fp := range s.CachedFingerprints() {
-		fmt.Fprintln(w, fp)
 	}
 }
 

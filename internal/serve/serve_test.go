@@ -145,7 +145,7 @@ func TestDedupReturnsSameJob(t *testing.T) {
 
 // TestShardedSequentialDedupe: Spec.Shards is an engine switch excluded
 // from the fingerprint, so a sequential client and a sharded client (or
-// cluster nodes started with different -sim-shards) collapse the same
+// a server restarted with a different -sim-shards) collapse the same
 // experiment onto one job and one cache entry — safe precisely because
 // the two engines produce bit-identical results.
 func TestShardedSequentialDedupe(t *testing.T) {
@@ -333,7 +333,8 @@ func TestRunBackpressureCappedByDeadline(t *testing.T) {
 	if err == nil {
 		t.Fatal("Run succeeded against a saturated server")
 	}
-	if _, ok := IsBackpressure(errors.Unwrap(err)); !ok {
+	var ra *retryAfterError
+	if !errors.As(errors.Unwrap(err), &ra) {
 		t.Fatalf("error does not wrap the backpressure cause: %v", err)
 	}
 	// The server's hint is 1s; the deadline is 250ms. Run must give up as

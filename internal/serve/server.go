@@ -256,11 +256,6 @@ func (s *Server) register(j *job) {
 	s.jobsMu.Unlock()
 }
 
-// CachedFingerprints lists every fingerprint in the result cache, sorted.
-// This is the cluster-consistency probe: the chaos suites union it across
-// nodes to assert the fleet holds exactly one copy of each result.
-func (s *Server) CachedFingerprints() []string { return s.cache.fingerprints() }
-
 // Job returns a tracked job by id.
 func (s *Server) Job(id string) (*job, bool) {
 	s.jobsMu.Lock()

@@ -227,20 +227,8 @@ func (k *Kernel) Ticks() int64 {
 	return n
 }
 
-// WakeAll revives every component. It remains as the blunt but safe
-// instrument for external phase transitions; the engine itself uses the
-// targeted WakeShard / per-component Waker paths.
-func (k *Kernel) WakeAll() {
-	for i := range k.main {
-		k.main[i].active = true
-	}
-	for i := range k.post {
-		k.post[i].active = true
-	}
-}
-
-// WakeShard revives every component owned by shard s — the targeted
-// replacement for WakeAll at shard-scoped transitions. Waking a quiescent
+// WakeShard revives every component owned by shard s at shard-scoped
+// transitions. Waking a quiescent
 // component is harmless (its next tick is a no-op by the quiescence
 // contract), so over-waking a shard is safe; the point is not waking the
 // other shards' components, whose entries a concurrently running worker
