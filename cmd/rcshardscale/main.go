@@ -7,7 +7,7 @@
 // any shard count, which the golden suite and the differential fuzzers
 // assert — so the only thing varying across a row is wall-clock time. On a
 // single-core host the table therefore records the engine's overhead floor
-// (the price of the phase barriers with no parallelism to pay for them);
+// (the price of the cycle barrier with no parallelism to pay for it);
 // speedup needs GOMAXPROCS ≥ the shard count.
 //
 // Usage:

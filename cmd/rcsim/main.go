@@ -167,7 +167,7 @@ func report(r *chip.Results) {
 		100*float64(r.L1Misses)/float64(memops), r.L1Misses, memops, r.L2Misses)
 	total, reqs := r.Msgs.Totals()
 	fmt.Printf("messages:  %d network (%.1f%% requests / %.1f%% replies), %.3f flits/node/cycle injected\n",
-		total, 100*float64(reqs)/float64(total), 100-100*float64(reqs)/float64(total), injRate(r))
+		total, 100*float64(reqs)/float64(total), 100-100*float64(reqs)/float64(total), r.InjRate)
 	for t := coherence.MsgGetS; t <= coherence.MsgFwdMiss; t++ {
 		if n := r.Msgs.Count(t); n > 0 {
 			rec := r.Lat.TypeRecord(t)
@@ -192,15 +192,6 @@ func report(r *chip.Results) {
 			fmt.Printf("  %-14s %.1f%%\n", o.String(), 100*r.Circ.OutcomeFraction(o))
 		}
 	}
-}
-
-// injRate is injected flits per node per cycle (the paper's load measure).
-func injRate(r *chip.Results) float64 {
-	var flits int64
-	for t, n := range r.Msgs.Network {
-		flits += n * int64(coherence.MsgType(t).SizeFlits())
-	}
-	return float64(flits) / float64(r.Cycles) / float64(r.Spec.Chip.Nodes())
 }
 
 func fatal(format string, args ...any) {

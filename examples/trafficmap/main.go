@@ -5,19 +5,18 @@
 // mechanism changes *where* traffic flows (it changes how fast replies
 // cross each router, not their paths).
 //
-// This example drives the mid-level API directly (coherence.System +
-// cpu.Core) instead of chip.Run, to show how the pieces compose.
+// Results carries chip-wide totals only, so this example builds the
+// machine with chip.Build, runs it, and then reads each router's
+// forwarded-flit counters straight off the machine's network.
 package main
 
 import (
+	"context"
 	"fmt"
 
-	"reactivenoc/internal/cache"
-	"reactivenoc/internal/coherence"
+	"reactivenoc/internal/chip"
 	"reactivenoc/internal/config"
-	"reactivenoc/internal/cpu"
 	"reactivenoc/internal/mesh"
-	"reactivenoc/internal/sim"
 	"reactivenoc/internal/workload"
 )
 
@@ -28,43 +27,26 @@ func main() {
 
 	for _, name := range []string{"Baseline", "Complete_NoAck"} {
 		v, _ := config.ByName(name)
-		m := mesh.New(c.Width, c.Height)
-		sys := coherence.NewSystem(m, v.Opts, c.MCs)
-
-		// Warm the caches and wire one core per tile.
-		for i := 0; i < m.Nodes(); i++ {
-			for _, reg := range w.Regions(i) {
-				for l := 0; l < reg.Lines; l++ {
-					tile := mesh.NodeID(-1)
-					if l < reg.L1Lines {
-						tile = mesh.NodeID(i)
-					}
-					sys.Prefill(reg.Start+cache.Addr(l*64), tile, reg.Exclusive)
-				}
-			}
+		spec := chip.DefaultSpec(c, v, w)
+		spec.WarmupOps, spec.MeasureOps = 0, 6000
+		m, err := chip.Build(spec)
+		if err != nil {
+			panic(err)
 		}
-		cores := make([]*cpu.Core, m.Nodes())
-		for i := range cores {
-			cores[i] = cpu.New(i, sys.L1s[i], w.Stream(i, 1), 6000)
+		if err := m.Run(context.Background()); err != nil {
+			panic(err)
 		}
-
-		kernel := sim.NewKernel()
-		kernel.Register(sys)
-		kernel.Register(tickAll(cores))
-		kernel.RunUntil(func() bool {
-			for _, core := range cores {
-				if !core.Done() {
-					return false
-				}
-			}
-			return !sys.Busy()
-		}, 10_000_000)
+		res, err := m.Harvest()
+		if err != nil {
+			panic(err)
+		}
 
 		// Per-router total forwarded flits, normalized to the hottest.
-		heat := make([]int64, m.Nodes())
+		msh := m.Sys.M
+		heat := make([]int64, msh.Nodes())
 		var max int64 = 1
-		for id := mesh.NodeID(0); int(id) < m.Nodes(); id++ {
-			r := sys.Net.Router(id)
+		for id := mesh.NodeID(0); int(id) < msh.Nodes(); id++ {
+			r := m.Sys.Net.Router(id)
 			var sum int64
 			for d := mesh.Dir(0); d < mesh.NumDirs; d++ {
 				sum += r.FlitsOut(d)
@@ -75,12 +57,12 @@ func main() {
 			}
 		}
 
-		fmt.Printf("\n%s (cycles: %d, hottest router forwarded %d flits)\n", name, kernel.Now(), max)
+		fmt.Printf("\n%s (cycles: %d, hottest router forwarded %d flits)\n", name, res.Cycles, max)
 		shades := []byte(" .:-=+*#%@")
 		for y := 0; y < c.Height; y++ {
 			fmt.Print("  ")
 			for x := 0; x < c.Width; x++ {
-				v := heat[m.Node(x, y)] * int64(len(shades)-1) / max
+				v := heat[msh.Node(x, y)] * int64(len(shades)-1) / max
 				fmt.Printf("%c%c", shades[v], shades[v])
 			}
 			fmt.Println()
@@ -88,12 +70,4 @@ func main() {
 	}
 	fmt.Println("\nthe dimension-order hot spots (memory-controller rows/columns) persist;")
 	fmt.Println("circuits change per-hop latency, not paths — so the map barely moves")
-}
-
-type tickAll []*cpu.Core
-
-func (t tickAll) Tick(now sim.Cycle) {
-	for _, c := range t {
-		c.Tick(now)
-	}
 }

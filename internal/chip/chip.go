@@ -92,7 +92,7 @@ type Spec struct {
 	DenseKernel bool
 	// Shards selects the parallel engine's tile-shard count: the mesh is
 	// split into contiguous row bands whose components step concurrently
-	// inside each kernel phase, exchanging boundary link state only at the
+	// each cycle, exchanging boundary link state only at the
 	// per-cycle barrier. Results are bit-identical for every value, so it
 	// is an engine switch like DenseKernel — excluded from Fingerprint
 	// (json:"-") so the service's result cache never splits on it.
@@ -160,7 +160,8 @@ type Results struct {
 	L1Hits, L1Misses int64
 	L2Hits, L2Misses int64
 
-	// InjRate is flits per node per cycle, the network-load measure the
+	// InjRate is injected flits per node per measured cycle (each network
+	// message counted once at its size), the network-load measure the
 	// paper quotes ("less than four flits every 100 cycles").
 	InjRate float64
 
@@ -270,98 +271,97 @@ func Run(spec Spec) (*Results, error) { return RunCtx(context.Background(), spec
 // horizon and wall-clock timeouts, context cancellation, and audit
 // failures. A long sweep survives any single run dying.
 func RunCtx(ctx context.Context, spec Spec) (res *Results, err error) {
-	if spec.MeasureOps <= 0 {
-		return nil, fmt.Errorf("chip: MeasureOps must be positive")
-	}
-	if verr := spec.Workload.Validate(); verr != nil {
-		return nil, fmt.Errorf("chip: %w", verr)
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-
-	var (
-		kernel *sim.Kernel
-		sys    *coherence.System
-		tr     *trace.Buffer
-		inj    *fault.Injector
-	)
-	phase := "setup"
-
-	// runErr builds the structured failure for the current phase with the
-	// diagnostic dump, trace tail and injected-fault log attached.
-	runErr := func(msg string, panicked bool) *RunError {
-		e := &RunError{
-			Phase: phase, Chip: spec.Chip.Name, Variant: spec.Variant.Name,
-			Workload: spec.Workload.Name, Seed: spec.Seed,
-			Msg: msg, Panicked: panicked,
-		}
-		if kernel != nil {
-			e.Cycle = kernel.Now()
-		}
-		if sys != nil {
-			e.Diag = sys.Net.DumpState()
-			if sys.Mgr != nil {
-				e.Diag += sys.Mgr.DumpCircuits(e.Cycle)
-			}
-		}
-		if tr != nil {
-			e.TraceTail = tr.Events()
-		}
-		if inj != nil {
-			e.Faults = inj.Events()
-		}
-		return e
-	}
+	m := &Machine{spec: spec}
 	defer func() {
 		if r := recover(); r != nil {
-			res, err = nil, runErr(fmt.Sprint(r), true)
+			res, err = nil, m.runErr(fmt.Sprint(r), true)
 		}
 	}()
+	if err := m.build(); err != nil {
+		return nil, err
+	}
+	if err := m.Run(ctx); err != nil {
+		return nil, err
+	}
+	return m.Harvest()
+}
 
-	m := mesh.New(spec.Chip.Width, spec.Chip.Height)
+// Machine is one simulated chip wired for a Spec: Build assembles it, Run
+// drives its warm-up and measured phases, and Harvest collects the
+// Results. RunCtx is those three steps plus panic containment; a caller
+// that wants to inspect the machine itself after the run (per-router
+// counters, say) uses them directly.
+type Machine struct {
+	// Sys is the simulated memory hierarchy and its network.
+	Sys *coherence.System
+
+	spec     Spec
+	kernel   *sim.Kernel
+	reg      *sim.Registry
+	cores    []*cpu.Core
+	wakers   []sim.Waker
+	tr       *trace.Buffer
+	inj      *fault.Injector
+	suite    *verify.Suite
+	recorder *tracefeed.Recorder
+	sampler  *sim.Sampler
+
+	// doneBy counts done-transitions per shard (a core's sink runs on its
+	// shard's worker) so the end-of-phase predicate is a short sum instead
+	// of an O(cores) scan every cycle; sys.Busy() (which walks the whole
+	// machine) only runs in the drain tail after the last core finishes.
+	doneBy []int64
+
+	phase                       string
+	horizon, stall, verifyEvery sim.Cycle
+	wallDeadline                time.Time
+	measureStart                sim.Cycle
+}
+
+// Build validates the spec and wires its machine: the memory system,
+// prefilled caches, optional tracer and fault injector, one core per tile,
+// the kernel, the metrics registry and, under Spec.Verify, the oracle
+// suite. An invariant panic during Build is not contained; RunCtx is the
+// contained path.
+func Build(spec Spec) (*Machine, error) {
+	m := &Machine{spec: spec}
+	if err := m.build(); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+func (m *Machine) build() error {
+	m.phase = "setup"
+	spec := &m.spec
+	if spec.MeasureOps <= 0 {
+		return fmt.Errorf("chip: MeasureOps must be positive")
+	}
+	if verr := spec.Workload.Validate(); verr != nil {
+		return fmt.Errorf("chip: %w", verr)
+	}
+
+	msh := mesh.New(spec.Chip.Width, spec.Chip.Height)
 	opts := spec.Variant.Opts
 	opts.NoPool = opts.NoPool || spec.NoPool
-	sys = coherence.NewSystem(m, opts, spec.Chip.MCs)
-	n := m.Nodes()
+	sys := coherence.NewSystem(msh, opts, spec.Chip.MCs)
+	m.Sys = sys
+	n := msh.Nodes()
 
-	// A trace-driven workload replays a recorded run: the file supplies
-	// the prefill regions and each core's exact operation sequence, and
-	// the spec's phase budgets must match the recording's or the cores'
-	// retirement limits would slice the stream differently.
-	var feed *tracefeed.Trace
-	if spec.Workload.TracePath != "" {
-		var crc uint32
-		var ferr error
-		feed, crc, ferr = tracefeed.Load(spec.Workload.TracePath)
-		if ferr != nil {
-			return nil, fmt.Errorf("chip: %w", ferr)
-		}
-		if spec.Workload.TraceCRC != 0 && spec.Workload.TraceCRC != crc {
-			return nil, fmt.Errorf("chip: trace %s has CRC %08x, spec pinned %08x",
-				spec.Workload.TracePath, crc, spec.Workload.TraceCRC)
-		}
-		if feed.Cores() != n {
-			return nil, fmt.Errorf("chip: trace %s recorded %d cores, chip %s has %d",
-				spec.Workload.TracePath, feed.Cores(), spec.Chip.Name, n)
-		}
-		if feed.WarmupOps != spec.WarmupOps || feed.MeasureOps != spec.MeasureOps {
-			return nil, fmt.Errorf("chip: trace %s recorded %d+%d ops/core, spec asks %d+%d",
-				spec.Workload.TracePath, feed.WarmupOps, feed.MeasureOps, spec.WarmupOps, spec.MeasureOps)
-		}
-	}
-	coreRegions := func(i int) []workload.Region {
-		if feed != nil {
-			return feed.CoreRegions(i)
-		}
-		return spec.Workload.Regions(i)
+	feed, err := loadFeed(spec, n)
+	if err != nil {
+		return err
 	}
 
 	// Functional cache warming (the paper warms for 200M cycles): every
 	// region each core touches is installed in its home L2 bank, and the
 	// hot private region in the core's L1.
 	for i := 0; i < n; i++ {
-		for _, reg := range coreRegions(i) {
+		regions := spec.Workload.Regions(i)
+		if feed != nil {
+			regions = feed.CoreRegions(i)
+		}
+		for _, reg := range regions {
 			for l := 0; l < reg.Lines; l++ {
 				tile := mesh.NodeID(-1)
 				if l < reg.L1Lines {
@@ -379,226 +379,293 @@ func RunCtx(ctx context.Context, spec Spec) (res *Results, err error) {
 		traceCap = diagTraceCap
 	}
 	if traceCap > 0 {
-		tr = trace.New(traceCap)
-		sys.Net.SetTracer(tr)
+		m.tr = trace.New(traceCap)
+		sys.Net.SetTracer(m.tr)
 		if sys.Mgr != nil {
-			sys.Mgr.SetTracer(tr)
+			sys.Mgr.SetTracer(m.tr)
 		}
 	}
 
 	if spec.Fault != nil {
-		inj = fault.New(*spec.Fault)
-		sys.Net.SetFaultHook(inj)
+		m.inj = fault.New(*spec.Fault)
+		sys.Net.SetFaultHook(m.inj)
 		if sys.Mgr != nil {
-			sys.Mgr.SetFaultHook(inj)
+			sys.Mgr.SetFaultHook(m.inj)
 		}
 	}
 
 	// The parallel engine partitions the mesh into row-band tiles stepped
-	// concurrently inside each kernel phase. Sharding must be wired before
-	// Register and DescribeMetrics below — both hand out per-shard counter
-	// slots that SetShards allocates.
-	shards := effectiveShards(&spec, m, traceCap)
+	// concurrently each cycle. Sharding must be wired before Register and
+	// DescribeMetrics below — both hand out per-shard counter slots that
+	// SetShards allocates.
+	shards := effectiveShards(spec, msh, traceCap)
 	if shards > 1 {
-		sys.SetShards(shards, m.ShardMap(shards))
+		sys.SetShards(shards, msh.ShardMap(shards))
 	}
 
-	// doneBy counts done-transitions per shard (a core's sink runs on its
-	// shard's worker) so the end-of-phase predicate is a short sum instead
-	// of an O(cores) scan every cycle; sys.Busy() (which walks the whole
-	// machine) only runs in the drain tail after the last core finishes —
-	// exactly when the seed engine's short-circuited allDone() reached it.
 	// The trace recorder, like the replayer, keeps all state per-core, so
 	// neither forces the sequential engine: a core is only ever ticked by
 	// its own shard worker.
-	var recorder *tracefeed.Recorder
 	if spec.RecordTrace != "" {
-		recorder = tracefeed.NewRecorder(spec.Workload, n, spec.Seed, spec.WarmupOps, spec.MeasureOps)
+		m.recorder = tracefeed.NewRecorder(spec.Workload, n, spec.Seed, spec.WarmupOps, spec.MeasureOps)
 	}
 
-	doneBy := make([]int64, shards)
-	cores := make([]*cpu.Core, n)
-	coreWakers := make([]sim.Waker, n)
+	m.doneBy = make([]int64, shards)
+	m.cores = make([]*cpu.Core, n)
+	m.wakers = make([]sim.Waker, n)
 	for i := 0; i < n; i++ {
 		var st cpu.Stream
 		if feed != nil {
 			st = feed.Stream(i)
 		} else {
-			st = spec.Workload.StreamGeom(i, m.Width, m.Height, spec.Seed)
+			st = spec.Workload.StreamGeom(i, msh.Width, msh.Height, spec.Seed)
 		}
 		limit := spec.WarmupOps
 		if limit <= 0 {
 			limit = spec.MeasureOps
 		}
-		cores[i] = cpu.New(i, sys.L1s[i], st, limit)
-		if recorder != nil {
-			cores[i].SetRecorder(recorder)
+		m.cores[i] = cpu.New(i, sys.L1s[i], st, limit)
+		if m.recorder != nil {
+			m.cores[i].SetRecorder(m.recorder)
 		}
-		s := m.ShardOf(mesh.NodeID(i), shards)
-		cores[i].SetDoneSink(func() { doneBy[s]++ })
+		s := msh.ShardOf(mesh.NodeID(i), shards)
+		m.cores[i].SetDoneSink(func() { m.doneBy[s]++ })
 	}
 
 	// Registration order replicates the seed engine's tick order exactly:
 	// the system (routers, NIs, per-tile L1/L2, MCs), then the cores. Each
 	// core carries its tile's shard tag so it steps on the same worker as
 	// the caches it shares state with.
-	kernel = sim.NewKernel()
-	kernel.SetDense(spec.DenseKernel)
-	kernel.SetShards(shards)
-	defer kernel.Close()
-	sys.Register(kernel)
-	for i, c := range cores {
-		kernel.SetShard(m.ShardOf(mesh.NodeID(i), shards))
-		coreWakers[i] = kernel.Add(c)
+	k := sim.NewKernel()
+	m.kernel = k
+	k.SetDense(spec.DenseKernel)
+	k.SetShards(shards)
+	sys.Register(k)
+	for i, c := range m.cores {
+		k.SetShard(msh.ShardOf(mesh.NodeID(i), shards))
+		m.wakers[i] = k.Add(c)
 	}
-	kernel.SetShard(0)
+	k.SetShard(0)
 
-	reg := sim.NewRegistry()
-	sys.DescribeMetrics(reg)
-	for _, c := range cores {
-		c.Describe(reg)
+	m.reg = sim.NewRegistry()
+	sys.DescribeMetrics(m.reg)
+	for _, c := range m.cores {
+		c.Describe(m.reg)
 	}
 	if sys.Mgr != nil {
-		reg.Gauge("circ/open", func() int64 { return sys.Mgr.OpenCircuits(kernel.Now()) })
+		m.reg.Gauge("circ/open", func() int64 { return sys.Mgr.OpenCircuits(k.Now()) })
 	}
-	reg.Gauge("kernel/active", func() int64 { return int64(kernel.ActiveCount()) })
+	m.reg.Gauge("kernel/active", func() int64 { return int64(k.ActiveCount()) })
 
-	horizon := spec.Horizon
-	if horizon == 0 {
-		horizon = sim.Cycle(spec.WarmupOps+spec.MeasureOps)*220 + 1_000_000
+	m.horizon = spec.Horizon
+	if m.horizon == 0 {
+		m.horizon = sim.Cycle(spec.WarmupOps+spec.MeasureOps)*220 + 1_000_000
 	}
-	stall := spec.WatchdogStall
-	if stall <= 0 {
-		stall = watchdogStall
-	}
-	var wallDeadline time.Time
-	if spec.Timeout > 0 {
-		wallDeadline = time.Now().Add(spec.Timeout)
+	m.stall = spec.WatchdogStall
+	if m.stall <= 0 {
+		m.stall = watchdogStall
 	}
 
 	// The oracle suite samples the machine on its own cadence, below the
 	// watchdog threshold so a structural deadlock is diagnosed as a
 	// waits-for cycle before the watchdog can blame generic "no progress".
-	var suite *verify.Suite
-	verifyEvery := spec.VerifyEvery
 	if spec.Verify {
-		if verifyEvery <= 0 {
-			verifyEvery = 128
+		m.verifyEvery = spec.VerifyEvery
+		if m.verifyEvery <= 0 {
+			m.verifyEvery = 128
 		}
-		suite = verify.NewSuite(verify.Config{Sys: sys, ProgressStall: stall / 2})
+		m.suite = verify.NewSuite(verify.Config{Sys: sys, ProgressStall: m.stall / 2})
+	}
+	return nil
+}
+
+// loadFeed opens a trace-driven workload's recording. The file supplies
+// the prefill regions and each core's exact operation sequence, and the
+// spec's phase budgets must match the recording's or the cores' retirement
+// limits would slice the stream differently. It returns nil for a
+// synthetic workload.
+func loadFeed(spec *Spec, nodes int) (*tracefeed.Trace, error) {
+	path := spec.Workload.TracePath
+	if path == "" {
+		return nil, nil
+	}
+	feed, crc, err := tracefeed.Load(path)
+	if err != nil {
+		return nil, fmt.Errorf("chip: %w", err)
+	}
+	if spec.Workload.TraceCRC != 0 && spec.Workload.TraceCRC != crc {
+		return nil, fmt.Errorf("chip: trace %s has CRC %08x, spec pinned %08x",
+			path, crc, spec.Workload.TraceCRC)
+	}
+	if feed.Cores() != nodes {
+		return nil, fmt.Errorf("chip: trace %s recorded %d cores, chip %s has %d",
+			path, feed.Cores(), spec.Chip.Name, nodes)
+	}
+	if feed.WarmupOps != spec.WarmupOps || feed.MeasureOps != spec.MeasureOps {
+		return nil, fmt.Errorf("chip: trace %s recorded %d+%d ops/core, spec asks %d+%d",
+			path, feed.WarmupOps, feed.MeasureOps, spec.WarmupOps, spec.MeasureOps)
+	}
+	return feed, nil
+}
+
+// Run drives the built machine once: the warm-up phase, the statistics
+// reset, the measured phase (sampled when Spec.SampleEvery is set), and
+// the quiescent checks. A failure comes back as a *RunError; invariant
+// panics are not contained here (RunCtx contains them).
+func (m *Machine) Run(ctx context.Context) error {
+	defer m.kernel.Close()
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if m.spec.Timeout > 0 {
+		m.wallDeadline = time.Now().Add(m.spec.Timeout)
 	}
 
-	allDone := func() bool {
-		var done int64
-		for _, d := range doneBy {
-			done += d
+	if m.spec.WarmupOps > 0 {
+		if err := m.runPhase(ctx, "warm-up"); err != nil {
+			return err
 		}
-		return done == int64(n) && !sys.Busy()
+		m.Sys.ResetStats()
+	}
+	for s := range m.doneBy {
+		m.doneBy[s] = 0
+	}
+	for i, c := range m.cores {
+		c.ResetStats(m.spec.MeasureOps)
+		m.wakers[i].Wake()
 	}
 
-	// runPhase advances until every core finishes, with a forward-progress
-	// watchdog: if no operation retires for a long stretch, the phase is
-	// deadlocked and the network state dump is attached to the error. The
-	// context, wall-clock deadline, and watchdog's O(cores) retired sum are
-	// polled every checkEvery cycles.
-	var sampler *sim.Sampler
-	runPhase := func(name string) error {
-		phase = name
-		deadline := kernel.Now() + horizon
-		lastRetired, lastProgress := int64(-1), kernel.Now()
-		for kernel.Now() < deadline {
-			if allDone() {
-				return nil
-			}
-			if kernel.Now()%checkEvery == 0 {
-				if cerr := ctx.Err(); cerr != nil {
-					return runErr("canceled: "+cerr.Error(), false)
-				}
-				if !wallDeadline.IsZero() && time.Now().After(wallDeadline) {
-					return runErr(fmt.Sprintf("exceeded wall-clock timeout %v", spec.Timeout), false)
-				}
-				var retired int64
-				for _, c := range cores {
-					retired += c.Retired
-				}
-				if retired != lastRetired {
-					lastRetired, lastProgress = retired, kernel.Now()
-				} else if kernel.Now()-lastProgress > stall {
-					return runErr(fmt.Sprintf("no progress for %d cycles (deadlock?)", stall), false)
-				}
-			}
-			kernel.Step()
-			if sampler != nil {
-				sampler.Poll(kernel.Now())
-			}
-			if suite != nil && kernel.Now()%verifyEvery == 0 {
-				if v := suite.Check(kernel.Now()); v != nil {
-					e := runErr(v.Msg, false)
-					e.Oracle = v.Oracle
-					return e
-				}
+	m.measureStart = m.kernel.Now()
+	if m.spec.SampleEvery > 0 {
+		m.sampler = sim.NewSampler(m.reg, m.spec.SampleEvery, m.measureStart)
+		if onSample := m.spec.OnSample; onSample != nil {
+			m.sampler.OnWindow = func(snap sim.Snapshot) {
+				snap.At -= m.measureStart
+				onSample(snap)
 			}
 		}
-		if allDone() {
+	}
+	if err := m.runPhase(ctx, "measured"); err != nil {
+		return err
+	}
+	if m.sampler != nil {
+		m.sampler.Flush(m.kernel.Now())
+	}
+
+	if m.suite != nil {
+		m.phase = "audit"
+		if v := m.suite.CheckQuiescent(m.kernel.Now()); v != nil {
+			return m.oracleErr(v)
+		}
+	}
+	if m.spec.Audit {
+		m.phase = "audit"
+		if aerr := m.Sys.AuditQuiescent(m.kernel.Now()); aerr != nil {
+			return m.runErr("post-run audit failed: "+aerr.Error(), false)
+		}
+	}
+	return nil
+}
+
+// allDone is the end-of-phase predicate: every core finished and the
+// memory system drained.
+func (m *Machine) allDone() bool {
+	var done int64
+	for _, d := range m.doneBy {
+		done += d
+	}
+	return done == int64(len(m.cores)) && !m.Sys.Busy()
+}
+
+// runPhase advances until every core finishes, with a forward-progress
+// watchdog: if no operation retires for a long stretch, the phase is
+// deadlocked and the network state dump is attached to the error. The
+// context, wall-clock deadline, and watchdog's O(cores) retired sum are
+// polled every checkEvery cycles.
+func (m *Machine) runPhase(ctx context.Context, name string) error {
+	m.phase = name
+	k := m.kernel
+	deadline := k.Now() + m.horizon
+	lastRetired, lastProgress := int64(-1), k.Now()
+	for k.Now() < deadline {
+		if m.allDone() {
 			return nil
 		}
-		return runErr(fmt.Sprintf("did not finish within %d cycles", horizon), false)
-	}
-
-	resetCores := func() {
-		for s := range doneBy {
-			doneBy[s] = 0
+		if k.Now()%checkEvery == 0 {
+			if cerr := ctx.Err(); cerr != nil {
+				return m.runErr("canceled: "+cerr.Error(), false)
+			}
+			if !m.wallDeadline.IsZero() && time.Now().After(m.wallDeadline) {
+				return m.runErr(fmt.Sprintf("exceeded wall-clock timeout %v", m.spec.Timeout), false)
+			}
+			var retired int64
+			for _, c := range m.cores {
+				retired += c.Retired
+			}
+			if retired != lastRetired {
+				lastRetired, lastProgress = retired, k.Now()
+			} else if k.Now()-lastProgress > m.stall {
+				return m.runErr(fmt.Sprintf("no progress for %d cycles (deadlock?)", m.stall), false)
+			}
 		}
-		for i, c := range cores {
-			c.ResetStats(spec.MeasureOps)
-			coreWakers[i].Wake()
+		k.Step()
+		if m.sampler != nil {
+			m.sampler.Poll(k.Now())
 		}
-	}
-	if spec.WarmupOps > 0 {
-		if err := runPhase("warm-up"); err != nil {
-			return nil, err
-		}
-		sys.ResetStats()
-		resetCores()
-	} else {
-		resetCores()
-	}
-
-	measureStart := kernel.Now()
-	if spec.SampleEvery > 0 {
-		sampler = sim.NewSampler(reg, spec.SampleEvery, measureStart)
-		if spec.OnSample != nil {
-			sampler.OnWindow = func(snap sim.Snapshot) {
-				snap.At -= measureStart
-				spec.OnSample(snap)
+		if m.suite != nil && k.Now()%m.verifyEvery == 0 {
+			if v := m.suite.Check(k.Now()); v != nil {
+				return m.oracleErr(v)
 			}
 		}
 	}
-	if err := runPhase("measured"); err != nil {
-		return nil, err
+	if m.allDone() {
+		return nil
 	}
-	if sampler != nil {
-		sampler.Flush(kernel.Now())
-	}
+	return m.runErr(fmt.Sprintf("did not finish within %d cycles", m.horizon), false)
+}
 
-	if suite != nil {
-		phase = "audit"
-		if v := suite.CheckQuiescent(kernel.Now()); v != nil {
-			e := runErr(v.Msg, false)
-			e.Oracle = v.Oracle
-			return nil, e
+// runErr builds the structured failure for the current phase with the
+// diagnostic dump, trace tail and injected-fault log attached.
+func (m *Machine) runErr(msg string, panicked bool) *RunError {
+	spec := &m.spec
+	e := &RunError{
+		Phase: m.phase, Chip: spec.Chip.Name, Variant: spec.Variant.Name,
+		Workload: spec.Workload.Name, Seed: spec.Seed,
+		Msg: msg, Panicked: panicked,
+	}
+	if m.kernel != nil {
+		e.Cycle = m.kernel.Now()
+	}
+	if m.Sys != nil {
+		e.Diag = m.Sys.Net.DumpState()
+		if m.Sys.Mgr != nil {
+			e.Diag += m.Sys.Mgr.DumpCircuits(e.Cycle)
 		}
 	}
-	if spec.Audit {
-		phase = "audit"
-		if aerr := sys.AuditQuiescent(kernel.Now()); aerr != nil {
-			return nil, runErr("post-run audit failed: "+aerr.Error(), false)
-		}
+	if m.tr != nil {
+		e.TraceTail = m.tr.Events()
 	}
+	if m.inj != nil {
+		e.Faults = m.inj.Events()
+	}
+	return e
+}
 
-	res = &Results{Spec: spec}
+// oracleErr is runErr for a violation the oracle suite caught.
+func (m *Machine) oracleErr(v *verify.Violation) *RunError {
+	e := m.runErr(v.Msg, false)
+	e.Oracle = v.Oracle
+	return e
+}
+
+// Harvest assembles the Results of a finished Run and writes the recorded
+// trace when Spec.RecordTrace is set.
+func (m *Machine) Harvest() (*Results, error) {
+	spec, sys, now := m.spec, m.Sys, m.kernel.Now()
+	n := len(m.cores)
+	res := &Results{Spec: spec}
 	var lastFinish sim.Cycle
-	for _, c := range cores {
+	for _, c := range m.cores {
 		if c.FinishedAt > lastFinish {
 			lastFinish = c.FinishedAt
 		}
@@ -611,9 +678,9 @@ func RunCtx(ctx context.Context, spec Spec) (res *Results, err error) {
 			FinishedAt:  c.FinishedAt,
 		})
 	}
-	res.Cycles = lastFinish - measureStart
+	res.Cycles = lastFinish - m.measureStart
 	if res.Cycles <= 0 {
-		res.Cycles = kernel.Now() - measureStart
+		res.Cycles = now - m.measureStart
 	}
 
 	res.Msgs = sys.MsgsTotal()
@@ -629,29 +696,33 @@ func RunCtx(ctx context.Context, spec Spec) (res *Results, err error) {
 	// The cache-layer scalars come from the registry snapshot: every
 	// controller registered its counters once at construction, replacing
 	// the per-field harvest loop of the original engine.
-	res.SimCycles = kernel.Now()
-	res.Metrics = reg.Snapshot(kernel.Now())
+	res.SimCycles = now
+	res.Metrics = m.reg.Snapshot(now)
 	res.L1Hits = res.Metrics.Value("l1/hits")
 	res.L1Misses = res.Metrics.Value("l1/misses")
 	res.L2Hits = res.Metrics.Value("l2/hits")
 	res.L2Misses = res.Metrics.Value("l2/misses")
-	if sampler != nil {
-		res.Series = sampler.Samples()
+	if m.sampler != nil {
+		res.Series = m.sampler.Samples()
 		for i := range res.Series {
-			res.Series[i].At -= measureStart
+			res.Series[i].At -= m.measureStart
 		}
 	}
 	if res.Cycles > 0 {
-		res.InjRate = float64(res.Events.LinkFlits) / float64(res.Cycles) / float64(n)
+		var flits int64
+		for t, c := range res.Msgs.Network {
+			flits += c * int64(coherence.MsgType(t).SizeFlits())
+		}
+		res.InjRate = float64(flits) / float64(res.Cycles) / float64(n)
 	}
-	if spec.TraceCap > 0 && tr != nil {
-		res.Trace = tr.Events()
+	if spec.TraceCap > 0 && m.tr != nil {
+		res.Trace = m.tr.Events()
 	}
-	if inj != nil {
-		res.Faults = inj.Events()
+	if m.inj != nil {
+		res.Faults = m.inj.Events()
 	}
-	if recorder != nil {
-		if _, werr := recorder.Trace().WriteFile(spec.RecordTrace); werr != nil {
+	if m.recorder != nil {
+		if _, werr := m.recorder.Trace().WriteFile(spec.RecordTrace); werr != nil {
 			return nil, fmt.Errorf("chip: writing trace: %w", werr)
 		}
 	}

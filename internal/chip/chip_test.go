@@ -73,6 +73,9 @@ func TestLightNetworkLoad(t *testing.T) {
 		flits += n * int64(coherenceSize(tp))
 	}
 	rate := float64(flits) / float64(r.Cycles) / 64
+	if r.InjRate != rate {
+		t.Fatalf("Results.InjRate %v, want injected flits/node/cycle %v", r.InjRate, rate)
+	}
 	if rate > 0.08 {
 		t.Fatalf("injection rate %.4f flits/node/cycle is not a lightly loaded network", rate)
 	}

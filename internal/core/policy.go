@@ -220,11 +220,11 @@ func (basePolicy) Teardown(mg *Manager, rec *record, now sim.Cycle) {
 }
 
 func (basePolicy) Observe(*Manager, mesh.NodeID, *noc.Message, Outcome) {}
-func (basePolicy) GapTolerant() bool                       { return false }
-func (basePolicy) BypassBuffered() bool                    { return false }
-func (basePolicy) ConflictChecked() bool                   { return false }
-func (basePolicy) RegistryChecked() bool                   { return false }
-func (basePolicy) LeakChecked(*Options) bool               { return false }
+func (basePolicy) GapTolerant() bool                                    { return false }
+func (basePolicy) BypassBuffered() bool                                 { return false }
+func (basePolicy) ConflictChecked() bool                                { return false }
+func (basePolicy) RegistryChecked() bool                                { return false }
+func (basePolicy) LeakChecked(*Options) bool                            { return false }
 
 // validateNotSpeculative is shared by every circuit policy: speculative
 // routers are an alternative design, not an addition.

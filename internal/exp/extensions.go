@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"reactivenoc/internal/chip"
-	"reactivenoc/internal/coherence"
 	"reactivenoc/internal/config"
 	"reactivenoc/internal/core"
 	"reactivenoc/internal/workload"
@@ -61,7 +60,7 @@ func LoadSweepRun(c config.Chip, factors []float64, ops int64, pol Policy) *Load
 		if !ok {
 			continue // no baseline at this load point; nothing to normalize to
 		}
-		row.InjRate = injectedFlitsPerNodeCycle(b)
+		row.InjRate = b.InjRate
 		for _, name := range loadVariants() {
 			v, _ := config.ByName(name)
 			spec := chip.DefaultSpec(c, v, w)
@@ -81,15 +80,6 @@ func LoadSweepRun(c config.Chip, factors []float64, ops int64, pol Policy) *Load
 	}
 	ls.Failures = cl.take()
 	return ls
-}
-
-// injectedFlitsPerNodeCycle is the paper's load measure.
-func injectedFlitsPerNodeCycle(r *chip.Results) float64 {
-	var flits int64
-	for t, n := range r.Msgs.Network {
-		flits += n * int64(coherence.MsgType(t).SizeFlits())
-	}
-	return float64(flits) / float64(r.Cycles) / float64(r.Spec.Chip.Nodes())
 }
 
 // Format renders the sweep.

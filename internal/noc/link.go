@@ -26,7 +26,7 @@ type Link struct {
 	// staged links cross a shard boundary under the parallel engine: sends
 	// accumulate in pending (owned by the sending shard) and only become
 	// visible to the receiver — queue entry and wake-up alike — when the
-	// coordinator calls Flush at the phase barrier. Because receipt is
+	// coordinator calls Flush at the cycle barrier. Because receipt is
 	// governed by readyAt (always >= send cycle + linkDelay), deferring the
 	// hand-off to the end of the sending cycle is visibility-identical to
 	// the sequential engine's immediate push.
@@ -57,9 +57,6 @@ func (l *Link) SetLanes(n int) {
 	l.laneNext = make([]sim.Cycle, n)
 }
 
-// Lanes returns the lane count (0 or 1 = undivided).
-func (l *Link) Lanes() int { return l.lanes }
-
 // LaneFree reports whether the given lane can accept a flit at cycle now.
 // Undivided links are always free — the one-flit-per-cycle rule is enforced
 // by Send itself.
@@ -75,7 +72,7 @@ func (l *Link) LaneFree(lane int, now sim.Cycle) bool {
 func (l *Link) SetStaged(s bool) { l.staged = s }
 
 // Flush publishes staged sends to the receiver and wakes it. Only the
-// coordinator calls this, at the phase barrier, while no shard worker runs.
+// coordinator calls this, at the cycle barrier, while no shard worker runs.
 func (l *Link) Flush() {
 	if len(l.pending) == 0 {
 		return
@@ -151,7 +148,7 @@ type CreditLink struct {
 	q    ring[creditSlot]
 	wake func()
 	// staged/pending mirror Link: boundary credits are published at the
-	// phase barrier in send order.
+	// cycle barrier in send order.
 	staged  bool
 	pending []creditSlot
 }

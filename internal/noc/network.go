@@ -226,7 +226,7 @@ func (n *Network) SetShards(shards int, shardMap []int) {
 
 // FlushBoundary publishes every staged boundary-link send and wakes the
 // receiving components. The kernel coordinator calls it from the per-cycle
-// epilogue, after all shard workers passed the phase barrier — this is the
+// epilogue, after all shard workers passed the cycle barrier — this is the
 // deterministic cross-shard wake hand-off.
 func (n *Network) FlushBoundary(sim.Cycle) {
 	for _, l := range n.boundaryFlits {

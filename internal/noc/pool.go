@@ -115,7 +115,3 @@ func (n *Network) FreeMessageAt(at mesh.NodeID, m *Message) {
 	}
 	n.poolSh[n.shardMap[at]].putMsg(m)
 }
-
-// PoolDisabled reports whether recycling is off (Spec/Options kill-switch
-// or RC_NOPOOL=1).
-func (n *Network) PoolDisabled() bool { return n.pool.disabled }

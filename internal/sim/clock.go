@@ -44,9 +44,8 @@ type Component interface {
 // identical to the dense engine, where that component's earlier tick was a
 // no-op by the quiescence contract.
 type Waker struct {
-	k    *Kernel
-	idx  int
-	post bool
+	k   *Kernel
+	idx int
 }
 
 // Wake marks the component active so the kernel ticks it again.
@@ -54,11 +53,7 @@ func (w Waker) Wake() {
 	if w.k == nil {
 		return
 	}
-	if w.post {
-		w.k.post[w.idx].active = true
-	} else {
-		w.k.main[w.idx].active = true
-	}
+	w.k.entries[w.idx].active = true
 }
 
 // entry is one registered component with its scheduling state.
@@ -86,11 +81,8 @@ type shardState struct {
 // Register tick every cycle, preserving the original engine's behaviour
 // for monolithic tickers.
 type Kernel struct {
-	now  Cycle
-	main []entry
-	// post runs after every component ticked, in registration order.
-	// Pipeline-flop style components use it.
-	post []entry
+	now     Cycle
+	entries []entry
 	// dense disables activity skipping: every component ticks every
 	// cycle, exactly like the original engine. The golden determinism
 	// suite cross-checks dense against sparse execution.
@@ -104,16 +96,15 @@ type Kernel struct {
 	// hot path.
 	nshards  int
 	curShard int32
-	// epilogues run at the end of every Step — after both phases, before
+	// epilogues run at the end of every Step — after the tick phase, before
 	// the cycle counter advances — in all engine modes. The circuit layer
 	// drains its deferred cross-tile operations here and the network
 	// flushes staged boundary links, which is what makes the parallel
 	// engine bit-identical to the sequential one.
 	epilogues []func(Cycle)
-	mainPlans [][]int32
-	postPlans [][]int32
+	plans     [][]int32
 	shards    []shardState
-	jobs      []chan int
+	jobs      []chan struct{}
 	wg        sync.WaitGroup
 	workerWG  sync.WaitGroup
 	prepared  bool
@@ -126,33 +117,19 @@ func NewKernel() *Kernel { return &Kernel{} }
 // Now returns the current cycle.
 func (k *Kernel) Now() Cycle { return k.now }
 
-// Register adds a component to the main tick phase; it ticks every cycle.
+// Register adds a component that ticks every cycle.
 func (k *Kernel) Register(t Ticker) {
 	k.checkOpen()
-	k.main = append(k.main, entry{t: t, active: true, shard: k.curShard})
+	k.entries = append(k.entries, entry{t: t, active: true, shard: k.curShard})
 }
 
-// RegisterPost adds a component to the post-tick phase (pipeline flop); it
-// ticks every cycle.
-func (k *Kernel) RegisterPost(t Ticker) {
-	k.checkOpen()
-	k.post = append(k.post, entry{t: t, active: true, shard: k.curShard})
-}
-
-// Add registers an activity-tracked component in the main phase and
-// returns its Waker. Components start active and fall asleep after their
-// first quiescent tick.
+// Add registers an activity-tracked component and returns its Waker.
+// Components start active and fall asleep after their first quiescent
+// tick.
 func (k *Kernel) Add(c Component) Waker {
 	k.checkOpen()
-	k.main = append(k.main, entry{t: c, c: c, active: true, shard: k.curShard})
-	return Waker{k: k, idx: len(k.main) - 1}
-}
-
-// AddPost registers an activity-tracked component in the post phase.
-func (k *Kernel) AddPost(c Component) Waker {
-	k.checkOpen()
-	k.post = append(k.post, entry{t: c, c: c, active: true, shard: k.curShard})
-	return Waker{k: k, idx: len(k.post) - 1, post: true}
+	k.entries = append(k.entries, entry{t: c, c: c, active: true, shard: k.curShard})
+	return Waker{k: k, idx: len(k.entries) - 1}
 }
 
 func (k *Kernel) checkOpen() {
@@ -186,7 +163,7 @@ func (k *Kernel) Shards() int {
 func (k *Kernel) SetShard(s int) { k.curShard = int32(s) }
 
 // AddEpilogue appends f to the per-cycle epilogue chain. Epilogues run at
-// the end of every Step, after both phases and before the clock advances,
+// the end of every Step, after the tick phase and before the clock advances,
 // in every engine mode — so any behaviour they carry (deferred circuit
 // operations, boundary-link flushes) is shared by the sequential and
 // parallel engines rather than a parallel-only code path.
@@ -196,20 +173,14 @@ func (k *Kernel) AddEpilogue(f func(Cycle)) { k.epilogues = append(k.epilogues, 
 // reference mode the activity tracker is verified against.
 func (k *Kernel) SetDense(d bool) { k.dense = d }
 
-// Components returns how many components are registered across both
-// phases.
-func (k *Kernel) Components() int { return len(k.main) + len(k.post) }
+// Components returns how many components are registered.
+func (k *Kernel) Components() int { return len(k.entries) }
 
 // ActiveCount returns how many registered components are currently awake.
 func (k *Kernel) ActiveCount() int {
 	n := 0
-	for i := range k.main {
-		if k.main[i].active {
-			n++
-		}
-	}
-	for i := range k.post {
-		if k.post[i].active {
+	for i := range k.entries {
+		if k.entries[i].active {
 			n++
 		}
 	}
@@ -227,26 +198,6 @@ func (k *Kernel) Ticks() int64 {
 	return n
 }
 
-// WakeShard revives every component owned by shard s at shard-scoped
-// transitions. Waking a quiescent
-// component is harmless (its next tick is a no-op by the quiescence
-// contract), so over-waking a shard is safe; the point is not waking the
-// other shards' components, whose entries a concurrently running worker
-// may own.
-func (k *Kernel) WakeShard(s int) {
-	sh := int32(s)
-	for i := range k.main {
-		if k.main[i].shard == sh {
-			k.main[i].active = true
-		}
-	}
-	for i := range k.post {
-		if k.post[i].shard == sh {
-			k.post[i].active = true
-		}
-	}
-}
-
 // Step advances the simulation by one cycle.
 func (k *Kernel) Step() {
 	now := k.now
@@ -254,11 +205,9 @@ func (k *Kernel) Step() {
 		if !k.prepared {
 			k.prepare()
 		}
-		k.runPhaseParallel(0)
-		k.runPhaseParallel(1)
+		k.stepParallel()
 	} else {
-		k.stepPhase(k.main, now)
-		k.stepPhase(k.post, now)
+		k.stepSequential(now)
 	}
 	for _, f := range k.epilogues {
 		f(now)
@@ -270,15 +219,14 @@ func (k *Kernel) Step() {
 // each shard, the indices of its entries in global registration order. A
 // shard's plan therefore preserves the sequential engine's relative tick
 // order among the components it owns; components of different shards only
-// interact through state exchanged at the phase barriers, so their mutual
+// interact through state exchanged at the cycle barrier, so their mutual
 // order is immaterial.
 func (k *Kernel) prepare() {
-	k.mainPlans = buildPlans(k.main, k.nshards)
-	k.postPlans = buildPlans(k.post, k.nshards)
+	k.plans = buildPlans(k.entries, k.nshards)
 	k.shards = make([]shardState, k.nshards)
-	k.jobs = make([]chan int, k.nshards)
+	k.jobs = make([]chan struct{}, k.nshards)
 	for s := 1; s < k.nshards; s++ {
-		k.jobs[s] = make(chan int, 1)
+		k.jobs[s] = make(chan struct{}, 1)
 		k.workerWG.Add(1)
 		go k.worker(s)
 	}
@@ -298,41 +246,34 @@ func buildPlans(es []entry, nshards int) [][]int32 {
 }
 
 // worker is one shard's persistent goroutine: it blocks on its job channel,
-// steps its shard through the requested phase, and signals the barrier.
+// steps its shard through one cycle, and signals the barrier.
 func (k *Kernel) worker(s int) {
 	defer k.workerWG.Done()
-	for phase := range k.jobs[s] {
-		k.runShard(phase, s)
+	for range k.jobs[s] {
+		k.runShard(s)
 		k.wg.Done()
 	}
 }
 
-// runPhaseParallel steps one kernel phase with every shard running
-// concurrently. The coordinator goroutine doubles as shard 0's worker. The
-// WaitGroup is the phase barrier: no goroutine observes another shard's
-// writes except through it, and all cross-shard state (boundary links,
-// deferred operations) is exchanged strictly on the coordinator side of it.
-func (k *Kernel) runPhaseParallel(phase int) {
-	if phase == 1 && len(k.post) == 0 {
-		return
-	}
+// stepParallel ticks one cycle with every shard running concurrently. The
+// coordinator goroutine doubles as shard 0's worker. The WaitGroup is the
+// cycle barrier: no goroutine observes another shard's writes except
+// through it, and all cross-shard state (boundary links, deferred
+// operations) is exchanged strictly on the coordinator side of it.
+func (k *Kernel) stepParallel() {
 	k.wg.Add(k.nshards - 1)
 	for s := 1; s < k.nshards; s++ {
-		k.jobs[s] <- phase
+		k.jobs[s] <- struct{}{}
 	}
-	k.runShard(phase, 0)
+	k.runShard(0)
 	k.wg.Wait()
 }
 
-func (k *Kernel) runShard(phase, s int) {
-	es, plan := k.main, k.mainPlans[s]
-	if phase == 1 {
-		es, plan = k.post, k.postPlans[s]
-	}
+func (k *Kernel) runShard(s int) {
 	now := k.now
 	var n int64
-	for _, idx := range plan {
-		e := &es[idx]
+	for _, idx := range k.plans[s] {
+		e := &k.entries[idx]
 		if !e.active && !k.dense {
 			continue
 		}
@@ -358,7 +299,8 @@ func (k *Kernel) Close() {
 	k.workerWG.Wait()
 }
 
-func (k *Kernel) stepPhase(es []entry, now Cycle) {
+func (k *Kernel) stepSequential(now Cycle) {
+	es := k.entries
 	for i := range es {
 		e := &es[i]
 		if !e.active && !k.dense {

@@ -44,17 +44,6 @@ func TestKernelTicksEveryComponentOncePerCycle(t *testing.T) {
 	}
 }
 
-func TestKernelPostPhaseRunsAfterMain(t *testing.T) {
-	k := NewKernel()
-	order := []string{}
-	k.Register(tickFunc(func(Cycle) { order = append(order, "main") }))
-	k.RegisterPost(tickFunc(func(Cycle) { order = append(order, "post") }))
-	k.Step()
-	if len(order) != 2 || order[0] != "main" || order[1] != "post" {
-		t.Fatalf("phase order %v", order)
-	}
-}
-
 type tickFunc func(Cycle)
 
 func (f tickFunc) Tick(now Cycle) { f(now) }
@@ -103,32 +92,6 @@ func TestRunUntilDoneFiresWithoutStepping(t *testing.T) {
 	}
 	if ran != 5 || n != 5 {
 		t.Fatalf("ran=%d ticks=%d, want 5/5", ran, n)
-	}
-}
-
-// Main-phase components all tick before any post-phase component,
-// regardless of the order Register and RegisterPost were interleaved in;
-// within a phase, registration order is preserved.
-func TestInterleavedRegisterKeepsPhaseOrder(t *testing.T) {
-	k := NewKernel()
-	order := []string{}
-	rec := func(name string) tickFunc {
-		return func(Cycle) { order = append(order, name) }
-	}
-	k.Register(rec("m1"))
-	k.RegisterPost(rec("p1"))
-	k.Register(rec("m2"))
-	k.RegisterPost(rec("p2"))
-	k.Register(rec("m3"))
-	k.Step()
-	want := []string{"m1", "m2", "m3", "p1", "p2"}
-	if len(order) != len(want) {
-		t.Fatalf("tick order %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("tick order %v, want %v", order, want)
-		}
 	}
 }
 
@@ -196,53 +159,6 @@ func TestDenseModeTicksEverything(t *testing.T) {
 	}
 }
 
-// WakeShard must revive exactly the components tagged with that shard —
-// main and post phase alike — and leave the other shards' entries asleep,
-// because a concurrently running worker may own them.
-func TestWakeShardWakesOnlyItsShard(t *testing.T) {
-	k := NewKernel()
-	k.SetShards(2)
-	defer k.Close()
-	mk := func(shard int, post bool) *toggler {
-		k.SetShard(shard)
-		c := &toggler{pending: 1}
-		if post {
-			k.AddPost(c)
-		} else {
-			k.Add(c)
-		}
-		return c
-	}
-	m0, p0 := mk(0, false), mk(0, true)
-	m1, p1 := mk(1, false), mk(1, true)
-
-	k.Run(3)
-	if k.ActiveCount() != 0 {
-		t.Fatalf("%d components awake after the initial burst drained", k.ActiveCount())
-	}
-	for _, c := range []*toggler{m0, p0, m1, p1} {
-		c.pending = 1
-	}
-
-	k.WakeShard(1)
-	if k.ActiveCount() != 2 {
-		t.Fatalf("WakeShard(1) left %d components awake, want shard 1's 2", k.ActiveCount())
-	}
-	k.Run(3)
-	if m1.ticks != 2 || p1.ticks != 2 {
-		t.Fatalf("shard 1 worked %d/%d ticks after its wake, want 2/2", m1.ticks, p1.ticks)
-	}
-	if m0.ticks != 1 || p0.ticks != 1 {
-		t.Fatalf("shard 0 worked %d/%d ticks while asleep, want 1/1 (untouched)", m0.ticks, p0.ticks)
-	}
-
-	k.WakeShard(0)
-	k.Run(3)
-	if m0.ticks != 2 || p0.ticks != 2 {
-		t.Fatalf("shard 0 worked %d/%d ticks after its wake, want 2/2", m0.ticks, p0.ticks)
-	}
-}
-
 // A sharded kernel must execute the same component ticks as the sequential
 // engine: same per-component work, same executed-tick total, and the same
 // quiescence state afterwards.
@@ -304,7 +220,7 @@ func TestEpilogueRunsEveryCycleInAllModes(t *testing.T) {
 		k.AddEpilogue(func(now Cycle) { seen = append(seen, now) })
 		k.Add(&toggler{pending: 1})
 		k.SetShard(tc.shards - 1)
-		k.AddPost(&toggler{pending: 1})
+		k.Add(&toggler{pending: 1})
 		k.Run(4)
 		k.Close()
 		if len(seen) != 4 {
@@ -343,28 +259,4 @@ func TestShardedKernelSealsAndCloses(t *testing.T) {
 	seq.Add(&toggler{})
 	seq.Close() // no workers to stop; must not block or panic
 	seq.Close()
-}
-
-// Post-phase activity tracking: an AddPost component sleeps and wakes like
-// a main-phase one, and still runs after the whole main phase.
-func TestAddPostActivityAndOrdering(t *testing.T) {
-	k := NewKernel()
-	order := []string{}
-	k.Register(tickFunc(func(Cycle) { order = append(order, "main") }))
-	c := &toggler{pending: 1}
-	w := k.AddPost(c)
-	k.Step()
-	if len(order) != 1 || c.ticks != 1 {
-		t.Fatalf("post component did not tick (order=%v ticks=%d)", order, c.ticks)
-	}
-	k.Run(3)
-	if c.ticks != 1 {
-		t.Fatalf("quiescent post component ticked %d times, want 1", c.ticks)
-	}
-	c.pending = 1
-	w.Wake()
-	k.Step()
-	if c.ticks != 2 {
-		t.Fatalf("woken post component ticked %d times, want 2", c.ticks)
-	}
 }

@@ -49,34 +49,6 @@ func (r *RNG) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
-// Geometric returns a sample from a geometric distribution with success
-// probability p (support {0, 1, 2, ...}), clamped to max. It is used for
-// burst lengths and inter-miss gaps in the synthetic workloads.
-func (r *RNG) Geometric(p float64, max int) int {
-	if p >= 1 {
-		return 0
-	}
-	if p <= 0 {
-		return max
-	}
-	n := 0
-	for n < max && !r.Bool(p) {
-		n++
-	}
-	return n
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // Split derives an independent child generator. Children seeded from
 // distinct draws of the parent never share a stream in practice.
 func (r *RNG) Split() *RNG {

@@ -1,15 +1,9 @@
 // Package stats provides the measurement plumbing every experiment uses:
-// latency recorders with network/queueing splits, circuit-outcome
-// classification, message-mix counters, and mean / standard-error /
-// confidence-interval math for the paper's figures.
+// latency recorders with network/queueing splits, histograms, and mean /
+// standard-error / confidence-interval math for the paper's figures.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-	"strings"
-)
+import "math"
 
 // Sample accumulates a stream of float64 observations.
 type Sample struct {
@@ -175,46 +169,6 @@ func (h *Histogram) Percentile(p float64) int64 {
 		}
 	}
 	return int64(len(h.buckets)) * h.BucketWidth
-}
-
-// Counter is a named monotonic event counter set.
-type Counter struct {
-	counts map[string]int64
-}
-
-// NewCounter returns an empty counter set.
-func NewCounter() *Counter { return &Counter{counts: map[string]int64{}} }
-
-// Inc adds delta to the named counter.
-func (c *Counter) Inc(name string, delta int64) { c.counts[name] += delta }
-
-// Get returns the value of a named counter (0 if never touched).
-func (c *Counter) Get(name string) int64 { return c.counts[name] }
-
-// Names returns the counter names in sorted order.
-func (c *Counter) Names() []string {
-	names := make([]string, 0, len(c.counts))
-	for n := range c.counts {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Merge folds other into c.
-func (c *Counter) Merge(other *Counter) {
-	for n, v := range other.counts {
-		c.counts[n] += v
-	}
-}
-
-// String renders the counters one per line for debugging dumps.
-func (c *Counter) String() string {
-	var b strings.Builder
-	for _, n := range c.Names() {
-		fmt.Fprintf(&b, "%-32s %12d\n", n, c.counts[n])
-	}
-	return b.String()
 }
 
 // LatencyRecord accumulates the paper's Figure-7 latency anatomy for one

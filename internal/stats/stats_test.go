@@ -134,29 +134,6 @@ func TestHistogramInvalidShapePanics(t *testing.T) {
 	NewHistogram(0, 5)
 }
 
-func TestCounter(t *testing.T) {
-	c := NewCounter()
-	c.Inc("flits", 3)
-	c.Inc("flits", 2)
-	c.Inc("hops", 1)
-	if c.Get("flits") != 5 || c.Get("hops") != 1 || c.Get("missing") != 0 {
-		t.Fatal("counter values wrong")
-	}
-	names := c.Names()
-	if len(names) != 2 || names[0] != "flits" || names[1] != "hops" {
-		t.Fatalf("names = %v", names)
-	}
-	d := NewCounter()
-	d.Inc("flits", 10)
-	c.Merge(d)
-	if c.Get("flits") != 15 {
-		t.Fatal("merge failed")
-	}
-	if c.String() == "" {
-		t.Fatal("String should render something")
-	}
-}
-
 func TestLatencyRecord(t *testing.T) {
 	var l LatencyRecord
 	l.Add(10, 2)
