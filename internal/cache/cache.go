@@ -73,27 +73,45 @@ func (c Config) validate() error {
 func (c Config) Block(a Addr) Addr { return a &^ Addr(c.LineBytes-1) }
 
 // Line is one cache line's bookkeeping. State is owned by the coherence
-// protocol; Sharers and Owner embed the directory for L2 banks.
+// protocol; Sharers and Owner embed the directory for L2 banks. The field
+// order packs a line into 24 bytes.
 type Line struct {
+	Tag uint64
+
+	// Directory payload (L2 banks only): bit i of Sharers set means tile
+	// i's L1 holds the line in shared state; Owner >= 0 names the tile
+	// holding it exclusively. Sharers has one bit per tile, so it can
+	// record sharers only on tiles 0-63: on a 256-core chip a shared copy
+	// on tile 64 or above is neither recorded nor invalidated.
+	Sharers uint64
+	Owner   int16
+
 	Valid bool
-	Tag   uint64
 	State uint8
 	// Busy marks lines pinned by an in-flight transaction; the victim
 	// picker never selects them.
 	Busy bool
-
-	// Directory payload (L2 banks only): bit i of Sharers set means tile
-	// i's L1 holds the line in shared state; Owner >= 0 names the tile
-	// holding it exclusively.
-	Sharers uint64
-	Owner   int16
 }
 
+// Ways are allocated lazily, a chunk at a time, from slabs. A slab is a
+// fixed-size block of lines that is never moved or grown, so a *Line stays
+// valid for the cache's lifetime. Victim prefers the lowest-index invalid
+// way, so the ways a set has ever used are a prefix of its ways; an
+// unallocated way is therefore indistinguishable from an invalid one, and
+// every operation behaves exactly as on a fully allocated array.
+const (
+	maxChunkWays = 4
+	maxSlabShift = 10 // at most 1024 lines (24 KB) per slab
+)
+
+// set is one set's record. It holds no pointers, so the GC never scans
+// the set array.
 type set struct {
-	lines []Line
 	// plru is the tree-PLRU bit vector: bit i is the direction flag of
 	// internal node i (0 = left subtree is older).
 	plru uint64
+	// n is the number of allocated ways, a multiple of the chunk size.
+	n int32
 }
 
 // Cache is one set-associative array.
@@ -102,34 +120,43 @@ type Cache struct {
 	sets     []set
 	setShift uint
 	setMask  uint64
+	tagShift uint
 	div      uint64 // interleave divisor (1 for private caches)
 	rem      uint64 // this bank's residue
+
+	// chunk is the ways per chunk (1<<chunkShift). Set i's k-th chunk
+	// starts at line offset offs[i<<setChunkShift+k]; offset o lives in
+	// slabs[o>>slabShift] at index o&slabMask.
+	chunk, chunkShift, setChunkShift int
+	offs                             []int32
+	slabs                            [][]Line
+	slabShift                        uint
+	slabMask                         int32
+	used                             int32 // lines handed out so far
 
 	// Access statistics.
 	Hits, Misses, Evictions int64
 }
 
 // New builds a cache; it panics on invalid geometry (configs are static).
+// It allocates no lines: each set's ways come into being on first use.
 func New(cfg Config) *Cache {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
 	c := &Cache{cfg: cfg}
 	c.sets = make([]set, cfg.Sets())
-	// All sets share one backing array: building a chip instantiates
-	// thousands of sets, and a per-set make dominated construction cost.
-	backing := make([]Line, cfg.Sets()*cfg.Ways)
-	// Seed Owner = -1 by doubling copies: memmove beats a per-line loop on
-	// the quarter-million lines a 64-tile chip instantiates.
-	backing[0].Owner = -1
-	for i := 1; i < len(backing); i *= 2 {
-		copy(backing[i:], backing[:i])
-	}
-	for i := range c.sets {
-		c.sets[i].lines = backing[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
-	}
+	c.chunk = min(maxChunkWays, cfg.Ways)
+	c.chunkShift = bits.TrailingZeros(uint(c.chunk))
+	c.setChunkShift = bits.TrailingZeros(uint(cfg.Ways / c.chunk))
+	c.offs = make([]int32, cfg.Sets()<<c.setChunkShift)
+	c.slabShift = uint(min(maxSlabShift, bits.TrailingZeros(uint(cfg.Sets()*cfg.Ways))))
+	c.slabMask = 1<<c.slabShift - 1
+	// Room for every slab: growing the list never costs an allocation.
+	c.slabs = make([][]Line, 0, cfg.Sets()*cfg.Ways>>c.slabShift)
 	c.setShift = uint(bits.TrailingZeros(uint(cfg.LineBytes)))
 	c.setMask = uint64(cfg.Sets() - 1)
+	c.tagShift = uint(bits.TrailingZeros(uint(cfg.Sets())))
 	c.div = 1
 	if cfg.Interleave > 1 {
 		c.div = uint64(cfg.Interleave)
@@ -144,21 +171,55 @@ func (c *Cache) Config() Config { return c.cfg }
 // localLine maps a global address to this bank's dense line number.
 func (c *Cache) localLine(a Addr) uint64 { return (a >> c.setShift) / c.div }
 
-func (c *Cache) index(a Addr) int { return int(c.localLine(a) & c.setMask) }
-func (c *Cache) tag(a Addr) uint64 {
-	return c.localLine(a) >> uint(bits.TrailingZeros(uint(c.cfg.Sets())))
+func (c *Cache) index(a Addr) int  { return int(c.localLine(a) & c.setMask) }
+func (c *Cache) tag(a Addr) uint64 { return c.localLine(a) >> c.tagShift }
+
+// chunkAt returns the lines of the chunk recorded at offs[k].
+func (c *Cache) chunkAt(k int) []Line {
+	o := c.offs[k]
+	i := int(o & c.slabMask)
+	return c.slabs[o>>c.slabShift][i : i+c.chunk : i+c.chunk]
+}
+
+// find returns the valid line with tag t in set idx and its way.
+func (c *Cache) find(idx int, t uint64) (*Line, int) {
+	k := idx << c.setChunkShift
+	for w := 0; w < int(c.sets[idx].n); w += c.chunk {
+		lines := c.chunkAt(k)
+		for i := range lines {
+			if lines[i].Valid && lines[i].Tag == t {
+				return &lines[i], w + i
+			}
+		}
+		k++
+	}
+	return nil, -1
+}
+
+// grow allocates set idx's next chunk of ways and returns it.
+func (c *Cache) grow(idx int) []Line {
+	if c.used&c.slabMask == 0 {
+		c.slabs = append(c.slabs, make([]Line, 1<<c.slabShift))
+	}
+	s := &c.sets[idx]
+	k := idx<<c.setChunkShift + int(s.n)>>c.chunkShift
+	c.offs[k] = c.used
+	c.used += int32(c.chunk)
+	s.n += int32(c.chunk)
+	lines := c.chunkAt(k)
+	for i := range lines {
+		lines[i].Owner = -1
+	}
+	return lines
 }
 
 // Lookup returns the line holding a, touching PLRU state and hit counters.
 func (c *Cache) Lookup(a Addr) (*Line, bool) {
-	s := &c.sets[c.index(a)]
-	t := c.tag(a)
-	for w := range s.lines {
-		if s.lines[w].Valid && s.lines[w].Tag == t {
-			c.Hits++
-			s.touch(w, c.cfg.Ways)
-			return &s.lines[w], true
-		}
+	idx := c.index(a)
+	if l, w := c.find(idx, c.tag(a)); l != nil {
+		c.Hits++
+		c.sets[idx].touch(w, c.cfg.Ways)
+		return l, true
 	}
 	c.Misses++
 	return nil, false
@@ -167,34 +228,41 @@ func (c *Cache) Lookup(a Addr) (*Line, bool) {
 // Peek returns the line holding a without touching replacement state or
 // counters (used by snoop-style lookups: invalidations, forwards).
 func (c *Cache) Peek(a Addr) (*Line, bool) {
-	s := &c.sets[c.index(a)]
-	t := c.tag(a)
-	for w := range s.lines {
-		if s.lines[w].Valid && s.lines[w].Tag == t {
-			return &s.lines[w], true
-		}
-	}
-	return nil, false
+	l, _ := c.find(c.index(a), c.tag(a))
+	return l, l != nil
 }
 
 // Victim picks the fill way for address a: an invalid way if one exists,
 // else the tree-PLRU victim among non-busy lines. It returns nil when every
 // way is pinned by an in-flight transaction.
 func (c *Cache) Victim(a Addr) *Line {
-	s := &c.sets[c.index(a)]
-	for w := range s.lines {
-		if !s.lines[w].Valid && !s.lines[w].Busy {
-			return &s.lines[w]
+	idx := c.index(a)
+	k0 := idx << c.setChunkShift
+	n := int(c.sets[idx].n)
+	for k := k0; k < k0+n>>c.chunkShift; k++ {
+		lines := c.chunkAt(k)
+		for i := range lines {
+			if !lines[i].Valid && !lines[i].Busy {
+				return &lines[i]
+			}
 		}
 	}
-	w := s.plruVictim(c.cfg.Ways)
-	if !s.lines[w].Busy {
-		return &s.lines[w]
+	if n < c.cfg.Ways {
+		// Every allocated way is in use; the first unallocated way is
+		// the lowest-index invalid one.
+		return &c.grow(idx)[0]
+	}
+	w := c.sets[idx].plruVictim(c.cfg.Ways)
+	if l := &c.chunkAt(k0 + w>>c.chunkShift)[w&(c.chunk-1)]; !l.Busy {
+		return l
 	}
 	// The PLRU choice is pinned: fall back to any non-busy way.
-	for w := range s.lines {
-		if !s.lines[w].Busy {
-			return &s.lines[w]
+	for k := k0; k < k0+n>>c.chunkShift; k++ {
+		lines := c.chunkAt(k)
+		for i := range lines {
+			if !lines[i].Busy {
+				return &lines[i]
+			}
 		}
 	}
 	return nil
@@ -208,12 +276,17 @@ func (c *Cache) Fill(l *Line, a Addr, state uint8) {
 		c.Evictions++
 	}
 	*l = Line{Valid: true, Tag: c.tag(a), State: state, Owner: -1}
-	s := &c.sets[c.index(a)]
-	for w := range s.lines {
-		if &s.lines[w] == l {
-			s.touch(w, c.cfg.Ways)
-			return
+	idx := c.index(a)
+	k := idx << c.setChunkShift
+	for w := 0; w < int(c.sets[idx].n); w += c.chunk {
+		lines := c.chunkAt(k)
+		for i := range lines {
+			if &lines[i] == l {
+				c.sets[idx].touch(w+i, c.cfg.Ways)
+				return
+			}
 		}
+		k++
 	}
 	panic("cache: Fill with a line from another set")
 }
@@ -226,8 +299,7 @@ func (c *Cache) AddrOf(l *Line, hint Addr) Addr {
 
 // addrAt is the block address with tag t in set idx.
 func (c *Cache) addrAt(t uint64, idx int) Addr {
-	shift := uint(bits.TrailingZeros(uint(c.cfg.Sets())))
-	local := (t << shift) | uint64(idx)
+	local := (t << c.tagShift) | uint64(idx)
 	return (local*c.div + c.rem) << c.setShift
 }
 
@@ -236,11 +308,15 @@ func (c *Cache) addrAt(t uint64, idx int) Addr {
 // not retain the pointer; the walk itself does not allocate.
 func (c *Cache) Walk(fn func(a Addr, l *Line)) {
 	for idx := range c.sets {
-		lines := c.sets[idx].lines
-		for w := range lines {
-			if l := &lines[w]; l.Valid {
-				fn(c.addrAt(l.Tag, idx), l)
+		k := idx << c.setChunkShift
+		for w := 0; w < int(c.sets[idx].n); w += c.chunk {
+			lines := c.chunkAt(k)
+			for i := range lines {
+				if l := &lines[i]; l.Valid {
+					fn(c.addrAt(l.Tag, idx), l)
+				}
 			}
+			k++
 		}
 	}
 }

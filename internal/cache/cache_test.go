@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func small() Config {
@@ -274,5 +275,81 @@ func TestSixteenWayPLRU(t *testing.T) {
 	}
 	if live != 16 {
 		t.Fatalf("%d lines live after 17 fills into one 16-way set", live)
+	}
+}
+
+// TestLinePointersSurviveChunkAllocation: coherence holds *Line across
+// cycles (an L2 transaction's victim), so a line must not move when later
+// sets allocate chunks and the cache takes on new slabs.
+func TestLinePointersSurviveChunkAllocation(t *testing.T) {
+	c := New(L2BankConfig())
+	const a = 0x40
+	held := c.Victim(a)
+	c.Fill(held, a, 1)
+	slabs := len(c.slabs)
+	for i := 0; i < 4*c.cfg.Sets(); i++ {
+		b := Addr(i) * 64
+		if b == a {
+			continue
+		}
+		if _, ok := c.Peek(b); !ok {
+			c.Fill(c.Victim(b), b, 2)
+		}
+	}
+	if len(c.slabs) <= slabs {
+		t.Fatalf("%d slabs after filling every set, %d before: nothing allocated", len(c.slabs), slabs)
+	}
+	held.Owner = 7
+	l, ok := c.Peek(a)
+	if !ok || l != held || l.Owner != 7 {
+		t.Fatalf("Peek(%#x) = %p (ok %v), held pointer %p", a, l, ok, held)
+	}
+}
+
+// TestLineIs24Bytes pins Line's packing: a 256-core chip holds millions of
+// lines, and a field added in the wrong place grows each by 8 bytes.
+func TestLineIs24Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Line{}); n != 24 {
+		t.Fatalf("Line is %d bytes, want 24", n)
+	}
+}
+
+// TestNoSlabBeforeFirstVictim: building, looking up and invalidating
+// allocate no lines; the first Victim allocates exactly one slab.
+func TestNoSlabBeforeFirstVictim(t *testing.T) {
+	c := New(L2BankConfig())
+	c.Lookup(0x40)
+	c.Peek(0x80)
+	c.Invalidate(0xc0)
+	c.Walk(func(Addr, *Line) { t.Fatal("walk visited a line of an empty cache") })
+	if len(c.slabs) != 0 {
+		t.Fatalf("%d slabs before the first Victim, want 0", len(c.slabs))
+	}
+	c.Victim(0x40)
+	if len(c.slabs) != 1 {
+		t.Fatalf("%d slabs after the first Victim, want 1", len(c.slabs))
+	}
+}
+
+// TestNewChunkLinesHaveNoOwner: every line of a freshly allocated chunk
+// reads as an invalid line with no directory owner, as a dense array's
+// lines did.
+func TestNewChunkLinesHaveNoOwner(t *testing.T) {
+	for _, cfg := range []Config{L1Config(), L2BankConfig()} {
+		c := New(cfg)
+		addrs := conflictAddrs(c, cfg.Ways)
+		idx := c.index(addrs[0])
+		for i, a := range addrs {
+			v := c.Victim(a)
+			if i%c.chunk == 0 {
+				k := idx<<c.setChunkShift + i>>c.chunkShift
+				for j, l := range c.chunkAt(k) {
+					if l != (Line{Owner: -1}) {
+						t.Fatalf("%d-way cache: new chunk %d line %d is %+v, want Owner -1 and nothing else", cfg.Ways, k, j, l)
+					}
+				}
+			}
+			c.Fill(v, a, 1)
+		}
 	}
 }
